@@ -10,7 +10,6 @@
 package faultprop_test
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -29,17 +28,6 @@ import (
 )
 
 const benchRuns = 30 // experiments per app per benchmark iteration
-
-// TestMain wires the package's perf-ablation switches: FAULTPROP_NOCLEAN=1
-// disables the clean-mode interpreter for the whole process, so the same
-// binary can bench (and differentially run) the full dual-chain
-// interpreter against the default fast path.
-func TestMain(m *testing.M) {
-	if os.Getenv("FAULTPROP_NOCLEAN") != "" {
-		vm.SetCleanInterp(false)
-	}
-	os.Exit(m.Run())
-}
 
 // BenchmarkExperimentThroughput is the campaign hot-path yardstick: one op
 // is one fault-injection experiment of a fixed-seed hydro campaign on a
@@ -70,18 +58,9 @@ func BenchmarkExperimentThroughput(b *testing.B) {
 // experiment forks from the latest snapshot preceding its faults instead
 // of re-executing the clean prefix. Results are byte-identical to the
 // baseline benchmark's campaign (see TestSnapshotForkByteIdentical); the
-// runs/s ratio between the two is the fast path's speedup.
-//
-// FAULTPROP_FULLCOPY=1 disables delta restores for the duration, so CI
-// can bench the block-granular dirty-tracking path against the
-// full-copy fallback from the same binary. FAULTPROP_NOCLEAN=1 (see
-// TestMain) additionally forces the full dual-chain interpreter, isolating
-// the clean-mode interpreter's share of the speedup.
+// runs/s ratio between the two is the fast path's speedup. Each worker's
+// first fork restores by full copy; later forks take the delta path.
 func BenchmarkExperimentThroughputSnapshot(b *testing.B) {
-	if os.Getenv("FAULTPROP_FULLCOPY") != "" {
-		vm.SetDeltaRestore(false)
-		defer vm.SetDeltaRestore(true)
-	}
 	app := apps.NewHydro()
 	b.ReportAllocs()
 	res, err := harness.RunCampaign(harness.CampaignConfig{

@@ -45,8 +45,31 @@ type RunConfig struct {
 	// Reuse, when non-nil, recycles the allocation-heavy run infrastructure
 	// (per-rank VM state and the MPI job fabric) across consecutive Run
 	// calls. A Reuse must be owned by a single worker: pass it to one Run
-	// at a time.
+	// at a time. Without one (or with one sized for another rank count)
+	// the run gets a throwaway bundle.
 	Reuse *Reuse
+	// From, when non-nil, starts the run at a captured campaign snapshot
+	// instead of step 0: each rank's VM is forked from the snapshot and
+	// the job's message-passing world is rewound to the same cut, so the
+	// run is observably identical to a from-scratch execution of the same
+	// plan. The plan must be Usable with the snapshot.
+	From *CampaignSnapshot
+	// FullInterp forces the full dual-chain interpreter in every rank
+	// (vm.Config.FullInterp). Results are identical either way; it exists
+	// so differential tests can select the reference interpreter.
+	FullInterp bool
+}
+
+// normalize defaults the rank count and gives a run without a matching
+// Reuse a throwaway one, so the runner has a single, pooled code path.
+func (cfg RunConfig) normalize() RunConfig {
+	if cfg.Ranks <= 0 {
+		cfg.Ranks = 1
+	}
+	if cfg.Reuse == nil || len(cfg.Reuse.rs) != cfg.Ranks {
+		cfg.Reuse = NewReuse(cfg.Ranks)
+	}
+	return cfg
 }
 
 // Reuse bundles what a campaign worker recycles between experiments: one
@@ -156,6 +179,8 @@ type RankResult struct {
 	TaintPeak int
 	// MemFaultsApplied counts direct memory faults that fired.
 	MemFaultsApplied int
+	// ModeSwitches counts the rank's clean->full interpreter transitions.
+	ModeSwitches uint64
 	// StructCML attributes the rank's end-of-run contamination to data
 	// structures (global name, "(heap)", or "(stack)").
 	StructCML map[string]int
@@ -213,57 +238,43 @@ func (o *RunOutcome) RestoreFrac() float64 {
 	return float64(o.RestoreDirtyBlocks) / float64(o.RestoreTotalBlocks)
 }
 
-// extras carries the snapshot-fork hooks through the shared runner body:
-// a snapshot to resume from, per-rank quiesce hooks (golden profiling and
-// capture), and a job observer for wiring capture coordination.
+// extras carries the golden-run hooks through the shared runner body:
+// per-rank quiesce hooks (profiling and capture), a job observer for
+// wiring capture coordination, and per-rank site observers.
 type extras struct {
-	snap      *CampaignSnapshot
 	hooks     []vm.QuiesceHook
 	onJob     func(*mpi.Job)
 	observers []vm.SiteObserver
 }
 
-// Run executes prog on cfg.Ranks ranks and collects per-rank observations.
-// The program is typically FPM-instrumented; plain programs run too (with
-// no sites and no contamination tracking).
+// Run executes prog on cfg.Ranks ranks — from step 0, or forked from
+// cfg.From — and collects per-rank observations. The program is typically
+// FPM-instrumented; plain programs run too (with no sites and no
+// contamination tracking).
 func Run(prog *ir.Program, cfg RunConfig) RunOutcome {
 	return runWith(prog, cfg, extras{})
 }
 
-// RunResumed executes prog starting from a captured campaign snapshot
-// instead of from step 0: each rank's VM is forked from the snapshot and
-// the job's message-passing world is rewound to the same cut, so the run is
-// observably identical to a from-scratch execution of the same plan. The
-// plan must be Usable with the snapshot.
-func RunResumed(prog *ir.Program, cfg RunConfig, snap *CampaignSnapshot) RunOutcome {
-	return runWith(prog, cfg, extras{snap: snap})
-}
-
 func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
-	if cfg.Ranks <= 0 {
-		cfg.Ranks = 1
-	}
-	var job *mpi.Job
-	if cfg.Reuse != nil && cfg.Reuse.job != nil && cfg.Reuse.job.Recycle(cfg.Ranks, cfg.Timeout) {
-		job = cfg.Reuse.job
-	} else {
+	cfg = cfg.normalize()
+	ru, from := cfg.Reuse, cfg.From
+	job := ru.job
+	if job == nil || !job.Recycle(cfg.Ranks, cfg.Timeout) {
 		job = mpi.NewJob(cfg.Ranks, cfg.Timeout)
 	}
-	if cfg.Reuse != nil {
-		// Keep the job for the next run; Recycle rejects it if this run
-		// aborts it.
-		cfg.Reuse.job = job
-	}
+	// Keep the job for the next run; Recycle rejects it if this run aborts
+	// it.
+	ru.job = job
 	if ex.onJob != nil {
 		ex.onJob(job)
 	}
 	var restoreStart time.Time
-	if ex.snap != nil {
-		if len(ex.snap.vms) != cfg.Ranks {
-			panic(fmt.Sprintf("core: snapshot of %d ranks resumed with %d", len(ex.snap.vms), cfg.Ranks))
+	if from != nil {
+		if len(from.vms) != cfg.Ranks {
+			panic(fmt.Sprintf("core: snapshot of %d ranks resumed with %d", len(from.vms), cfg.Ranks))
 		}
 		restoreStart = time.Now()
-		job.RestoreWorld(ex.snap.world)
+		job.RestoreWorld(from.world)
 	} else {
 		// A recycled job may still hold the previous fork's snapshot world
 		// (Recycle keeps it so same-cut re-forks skip the refill); a
@@ -275,45 +286,22 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		Spread:    &trace.RankSpread{},
 		StructCML: make(map[string]int),
 	}
-	var regions []StructRegion
-	if cfg.Reuse != nil && cfg.Reuse.regionsProg == prog {
-		regions = cfg.Reuse.regions
-	} else {
-		regions = RegionsOf(prog)
-		if cfg.Reuse != nil {
-			cfg.Reuse.regionsProg, cfg.Reuse.regions = prog, regions
-		}
+	if ru.regionsProg != prog {
+		ru.regionsProg, ru.regions = prog, RegionsOf(prog)
 	}
+	regions := ru.regions
 
-	var states []rankState
-	var done chan int
-	if cfg.Reuse != nil && len(cfg.Reuse.rs) == cfg.Ranks {
-		states, done = cfg.Reuse.rs, cfg.Reuse.done
-	} else {
-		states = make([]rankState, cfg.Ranks)
-		done = make(chan int, cfg.Ranks)
-	}
+	states, done := ru.rs, ru.done
 	// Build every VM before starting any rank: a construction panic must
-	// not escape while goroutines are already mutating (possibly pooled)
-	// state of earlier ranks.
+	// not escape while goroutines are already mutating pooled state of
+	// earlier ranks.
 	for r := 0; r < cfg.Ranks; r++ {
-		var rec *trace.Recorder
-		var injr *inject.RankInjector
-		var st *vm.State
-		ptsHint, ticksHint := 0, 0
-		if cfg.Reuse != nil && r < len(cfg.Reuse.states) {
-			st = cfg.Reuse.states[r]
-			rec = cfg.Reuse.recs[r]
-			ptsHint, ticksHint = cfg.Reuse.ptsHint[r], cfg.Reuse.ticksHint[r]
-			if ex.snap == nil {
-				rec.Reset(cfg.SampleEvery, ptsHint, ticksHint)
-			}
-			injr = cfg.Reuse.injs[r]
-			injr.Reset(cfg.Plan, r)
-		} else {
-			rec = &trace.Recorder{SampleEvery: cfg.SampleEvery}
-			injr = inject.NewRankInjector(cfg.Plan, r)
+		rec, injr := ru.recs[r], ru.injs[r]
+		ptsHint, ticksHint := ru.ptsHint[r], ru.ticksHint[r]
+		if from == nil {
+			rec.Reset(cfg.SampleEvery, ptsHint, ticksHint)
 		}
+		injr.Reset(cfg.Plan, r)
 		var quiesce vm.QuiesceHook
 		if r < len(ex.hooks) {
 			quiesce = ex.hooks[r]
@@ -331,23 +319,24 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			Abort:        job.Flag(),
 			TrackTaint:   cfg.TrackTaint,
 			MemFaults:    cfg.MemFaults[r],
-			State:        st,
+			State:        ru.states[r],
 			Quiesce:      quiesce,
 			SiteObserver: observer,
-			ForkRestore:  ex.snap != nil,
+			FullInterp:   cfg.FullInterp,
+			ForkRestore:  from != nil,
 		})
-		if ex.snap != nil {
+		if from != nil {
 			// Fork rank r from the cut: VM state and the trace history its
 			// re-executed prefix would have produced.
-			rs := v.RestoreSnap(ex.snap.vms[r])
-			rec.RestoreSnap(ex.snap.recs[r], ptsHint, ticksHint)
+			rs := v.RestoreSnap(from.vms[r])
+			rec.RestoreSnap(from.recs[r], ptsHint, ticksHint)
 			out.RestoreBytes += rs.Bytes
 			out.RestoreDirtyBlocks += rs.DirtyBlocks
 			out.RestoreTotalBlocks += rs.TotalBlocks
 		}
 		states[r] = rankState{v: v, rec: rec, inj: injr}
 	}
-	if ex.snap != nil {
+	if from != nil {
 		out.Forked = true
 		out.RestoreDur = time.Since(restoreStart)
 	}
@@ -366,7 +355,7 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 				}
 			}()
 			run := states[r].v.Run
-			if ex.snap != nil {
+			if from != nil {
 				run = states[r].v.Resume
 			}
 			if err := run(); err != nil {
@@ -404,6 +393,7 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		rr.AllocatedWords = st.v.Mem().AllocatedWords()
 		rr.TaintPeak = st.v.TaintPeak()
 		rr.MemFaultsApplied = st.v.MemFaultsApplied()
+		rr.ModeSwitches = st.v.ModeSwitches()
 		if st.v.Table().Len() > 0 {
 			rr.StructCML = make(map[string]int)
 			AttributeTable(regions, st.v.Table(),
@@ -420,11 +410,9 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		}
 		// Every observation that touches the VM's memory or table is made
 		// by now; the rank's pooled buffers can go back for the next run.
-		if cfg.Reuse != nil && r < len(cfg.Reuse.states) && cfg.Reuse.states[r] != nil {
-			cfg.Reuse.states[r].Reclaim(st.v)
-			cfg.Reuse.ptsHint[r] = len(rr.Points)
-			cfg.Reuse.ticksHint[r] = len(st.rec.Ticks())
-		}
+		ru.states[r].Reclaim(st.v)
+		ru.ptsHint[r] = len(rr.Points)
+		ru.ticksHint[r] = len(st.rec.Ticks())
 		if rr.Casualty {
 			continue
 		}

@@ -110,11 +110,12 @@ func trapKind(err error) vm.TrapKind {
 
 // TestGoldenCaptureResumeByteIdentical is the core-level differential
 // property: for every captured cut and a spread of fault plans usable from
-// it, RunResumed must equal Run in every deterministic observable — with an
-// in-flight point-to-point message crossing the cuts. The short MPI timeout
-// keeps plans that desynchronize the collective schedule (a corrupted trip
-// count making one rank exit early) from stalling the test; the timeout
-// outcome itself is deterministic, so it still must match across modes.
+// it, a run forked from the cut must equal a from-scratch Run in every
+// deterministic observable — with an in-flight point-to-point message
+// crossing the cuts. The short MPI timeout keeps plans that desynchronize
+// the collective schedule (a corrupted trip count making one rank exit
+// early) from stalling the test; the timeout outcome itself is
+// deterministic, so it still must match across modes.
 func TestGoldenCaptureResumeByteIdentical(t *testing.T) {
 	prog := buildCrossCutProg(8)
 	inst, err := transform.Instrument(prog, transform.DefaultOptions())
@@ -177,7 +178,7 @@ func TestGoldenCaptureResumeByteIdentical(t *testing.T) {
 				ecfg.CycleLimit = cycleLimit
 				ecfg.Plan = plan
 				want := condense(Run(inst, ecfg))
-				got := condense(RunResumed(inst, ecfg, snap))
+				got := condense(runFrom(inst, ecfg, snap))
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("cut %d, fault %v: resumed run diverged\n got: %v\nwant: %v",
 						snap.Cut.Seq, plan.Faults[0], got, want)
@@ -192,10 +193,16 @@ func TestGoldenCaptureResumeByteIdentical(t *testing.T) {
 
 	// Fault-free resume from the last cut reproduces the golden run.
 	wantGolden := condense(Run(inst, rcfg))
-	gotGolden := condense(RunResumed(inst, rcfg, snaps[len(snaps)-1]))
+	gotGolden := condense(runFrom(inst, rcfg, snaps[len(snaps)-1]))
 	if !reflect.DeepEqual(gotGolden, wantGolden) {
 		t.Error("fault-free resume diverged from golden")
 	}
+}
+
+// runFrom forks one run of prog from snap.
+func runFrom(prog *ir.Program, cfg RunConfig, snap *CampaignSnapshot) RunOutcome {
+	cfg.From = snap
+	return Run(prog, cfg)
 }
 
 // TestResumeWithReuseMatchesFresh checks the pooled path: resuming through
@@ -227,7 +234,7 @@ func TestResumeWithReuseMatchesFresh(t *testing.T) {
 	ecfg := rcfg
 	ecfg.CycleLimit = golden.Cycles * 4
 	ecfg.Plan = plan
-	want := condense(RunResumed(inst, ecfg, snap))
+	want := condense(runFrom(inst, ecfg, snap))
 
 	reuse := NewReuse(2)
 	dirty := rcfg
@@ -240,7 +247,7 @@ func TestResumeWithReuseMatchesFresh(t *testing.T) {
 	pooled := ecfg
 	pooled.Reuse = reuse
 	for i := 0; i < 2; i++ {
-		got := condense(RunResumed(inst, pooled, snap))
+		got := condense(runFrom(inst, pooled, snap))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("pooled resume %d diverged from fresh resume", i)
 		}

@@ -424,12 +424,9 @@ type CampaignResult struct {
 	Sites []SiteReport
 }
 
-// coreRun and coreRunResumed indirect the core entry points so tests can
-// inject infrastructure failures.
-var (
-	coreRun        = core.Run
-	coreRunResumed = core.RunResumed
-)
+// coreRun indirects the core entry point so tests can inject
+// infrastructure failures and observe run configurations.
+var coreRun = core.Run
 
 // RunCampaign executes the campaign: a golden profiling run, then Runs
 // fault-injection experiments streamed through a single-pass aggregator.
@@ -915,19 +912,14 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 	if tr != nil {
 		phaseStart = time.Now()
 	}
-	rcfg := core.RunConfig{
+	run := coreRun(inst, core.RunConfig{
 		Ranks:       cfg.Params.Ranks,
 		CycleLimit:  cycleLimit,
 		Plan:        plan,
 		SampleEvery: cfg.SampleEvery,
 		Reuse:       cfg.reuse,
-	}
-	var run core.RunOutcome
-	if snap := sched.Best(plan); snap != nil {
-		run = coreRunResumed(inst, rcfg, snap)
-	} else {
-		run = coreRun(inst, rcfg)
-	}
+		From:        sched.Best(plan),
+	})
 	if tr != nil {
 		now := time.Now()
 		tr.Restore = run.RestoreDur

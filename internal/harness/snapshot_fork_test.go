@@ -3,9 +3,12 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/classify"
@@ -14,19 +17,21 @@ import (
 	"repro/internal/ir"
 )
 
-// countResumes wraps the coreRunResumed indirection so a test can prove a
-// campaign actually took the snapshot-fork path (a schedule that silently
-// fell back to re-execution would make the differential comparison
-// vacuous). Campaigns under test run with Workers: 1, so no atomics.
+// countResumes wraps the coreRun seam so a test can prove a campaign
+// actually took the snapshot-fork path (a schedule that silently fell back
+// to re-execution would make the differential comparison vacuous).
+// Campaigns under test run with Workers: 1, so no atomics.
 func countResumes(t *testing.T) *int {
 	t.Helper()
 	n := new(int)
-	orig := coreRunResumed
-	coreRunResumed = func(prog *ir.Program, cfg core.RunConfig, snap *core.CampaignSnapshot) core.RunOutcome {
-		*n++
-		return orig(prog, cfg, snap)
+	orig := coreRun
+	coreRun = func(prog *ir.Program, cfg core.RunConfig) core.RunOutcome {
+		if cfg.From != nil {
+			*n++
+		}
+		return orig(prog, cfg)
 	}
-	t.Cleanup(func() { coreRunResumed = orig })
+	t.Cleanup(func() { coreRun = orig })
 	return n
 }
 
@@ -302,4 +307,30 @@ func FuzzSnapshotPlan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestChooseSeqsUnboundedBudget pins the budget clamp: a snapshot budget
+// far beyond the number of experiments (a request may ask for any
+// non-negative count) picks exactly the seqs of budget = len(best), and
+// returns promptly instead of looping budget times under the pack lock.
+func TestChooseSeqsUnboundedBudget(t *testing.T) {
+	cuts := make([]core.SiteCut, 40)
+	for i := range cuts {
+		cuts[i] = core.SiteCut{Seq: uint64(i) * 2, Sites: []uint64{uint64(i) * 10}}
+	}
+	best := make([]int, 300)
+	for i := range best {
+		best[i] = (i * 7) % len(cuts)
+	}
+	want := chooseSeqs(cuts, append([]int(nil), best...), len(best))
+	done := make(chan []uint64, 1)
+	go func() { done <- chooseSeqs(cuts, append([]int(nil), best...), math.MaxInt) }()
+	select {
+	case got := <-done:
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("budget MaxInt picked %v, budget len(best) picked %v", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("chooseSeqs with an unbounded budget did not return within 5s")
+	}
 }

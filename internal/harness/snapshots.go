@@ -55,11 +55,15 @@ func bestCutIndex(cuts []core.SiteCut, plan inject.Plan) int {
 // per-experiment best-usable-cut distribution, so the captured cuts sit
 // where the campaign's fault plans can actually use them. best holds one
 // usable-cut index per experiment (unusable experiments excluded); it is
-// sorted in place.
+// sorted in place. A budget beyond len(best) picks the same seqs as
+// len(best) — every experiment's cut already — so it is clamped there:
+// the caller holds the pack lock, and an unclamped budget from a request
+// would make this loop (and its allocations) arbitrarily long.
 func chooseSeqs(cuts []core.SiteCut, best []int, budget int) []uint64 {
 	if len(best) == 0 || budget <= 0 {
 		return nil
 	}
+	budget = min(budget, len(best))
 	sort.Ints(best)
 	seqs := make([]uint64, 0, budget)
 	seen := make(map[uint64]bool, budget)

@@ -10,6 +10,12 @@ package vm
 // rollback targets: the redone work costs cycles (a PEX-shaped signature)
 // but the corrupted state is gone.
 //
+// Checkpoints are ordinary vm.Snapshots captured into one VM-owned buffer,
+// and a rollback reuses the snapshot-fork restore body, so its memory
+// restore takes the delta path (only blocks dirtied since the checkpoint
+// are copied back) and the interpreter mode recorded at capture carries
+// over.
+//
 // The detector here is an oracle (it reads the contamination table, which
 // a production system does not have); the paper's §5 models exist
 // precisely to estimate this quantity from FPS instead.
@@ -19,73 +25,18 @@ package vm
 // single-process runs (coordinated distributed checkpointing is out of
 // scope). The naive-taint ablation state is not snapshotted.
 
-type vmSnapshot struct {
-	words      []uint64
-	brk, sp    int64
-	regs       []uint64
-	frames     []frame
-	sites      uint64
-	outputs    int
-	iterations int64
-	ticks      int64
-	table      map[int64]uint64
-}
-
 // Rollbacks reports how many checkpoint restorations happened.
 func (v *VM) Rollbacks() int { return v.rollbacks }
 
-// takeSnapshot captures the full execution state. The top frame's pc is
-// stored pre-incremented so a restored execution resumes at the
-// instruction after the checkpoint intrinsic.
-func (v *VM) takeSnapshot() {
-	s := &vmSnapshot{
-		brk:        v.mem.brk,
-		sp:         v.mem.sp,
-		sites:      v.sites,
-		outputs:    len(v.outputs),
-		iterations: v.iterations,
-		ticks:      v.ticks,
-	}
-	s.words = append(s.words[:0], v.mem.words...)
-	s.regs = append(s.regs[:0], v.regs...)
-	// Frame structs copy by value; their retRegs slices are never mutated
-	// after emission, so sharing them is safe.
-	s.frames = append(s.frames[:0], v.frames...)
-	s.frames[len(s.frames)-1].pc++
-	s.table = make(map[int64]uint64, v.table.Len())
-	for _, addr := range v.table.Addresses() {
-		pv, _ := v.table.Pristine(addr)
-		s.table[addr] = pv
-	}
-	v.snap = s
-}
-
-// restoreSnapshot rewinds the VM to the last snapshot. Application cycles
-// are NOT rewound: re-executed work costs time, exactly as a real rollback
-// does. The injector's site counter is not rewound either, so a transient
-// fault does not re-fire during replay.
-func (v *VM) restoreSnapshot() {
-	s := v.snap
-	copy(v.mem.words, s.words)
-	// The bulk copy bypasses the dirty bitmap; drop any delta-restore base
-	// so a later fork restore cannot trust a stale one. (Checkpointed runs
-	// are never forked — this is defense in depth.)
-	v.mem.invalidateBase()
-	v.mem.brk = s.brk
-	v.mem.sp = s.sp
-	v.regs = append(v.regs[:0], s.regs...)
-	v.frames = append(v.frames[:0], s.frames...)
-	v.outputs = v.outputs[:s.outputs]
-	v.iterations = s.iterations
-	v.ticks = s.ticks
-	// Rebuild the table in place from the snapshot. The contamination
-	// happened even though it was undone: keep the historical peak and
-	// ever-contaminated flags.
+// rollback rewinds the VM to its last checkpoint. Application cycles are
+// NOT rewound: re-executed work costs time, exactly as a real rollback
+// does. Neither are the injector's site counter and the injection-cycle
+// list, so a transient fault does not re-fire during replay. The
+// contamination happened even though it was undone: the table keeps its
+// historical peak and ever-contaminated flag.
+func (v *VM) rollback() {
 	peak, ever := v.table.Peak(), v.table.Ever()
-	v.table.Reset()
-	for addr, pv := range s.table {
-		v.table.Record(addr, pv)
-	}
+	v.restore(v.ckpt)
 	v.table.CarryHistory(peak, ever)
 	v.rollbacks++
 	v.restored = true
@@ -101,12 +52,12 @@ func (v *VM) checkpointTick() bool {
 	if v.cfg.CheckpointEvery <= 0 {
 		return false
 	}
-	if v.cfg.RollbackCML > 0 && v.snap != nil && v.table.Len() >= v.cfg.RollbackCML {
-		v.restoreSnapshot()
+	if v.cfg.RollbackCML > 0 && v.ckpt != nil && v.table.Len() >= v.cfg.RollbackCML {
+		v.rollback()
 		return true
 	}
 	if v.ticks%v.cfg.CheckpointEvery == 0 {
-		v.takeSnapshot()
+		v.ckpt = v.Snapshot(v.ckpt)
 	}
 	return false
 }

@@ -1,7 +1,5 @@
 package vm
 
-import "sync/atomic"
-
 // Clean-mode interpreter. The dual-chain instrumentation (package
 // transform) makes every run pay for its own verifiability: each
 // value-producing instruction executes twice and every store consults the
@@ -58,22 +56,17 @@ import "sync/atomic"
 // rank's table can only become non-empty through its own injector or
 // through message records, both of which are local switch triggers.
 
-// cleanSwitches counts clean->full transitions process-wide. Both switch
-// paths are cold (they bracket injection and contamination episodes), so
-// the atomic costs nothing measurable; differential tests read it to prove
-// a campaign actually exercised both interpreters.
-var cleanSwitches atomic.Uint64
-
-// CleanModeSwitches returns the process-wide count of clean->full
-// interpreter transitions.
-func CleanModeSwitches() uint64 { return cleanSwitches.Load() }
+// ModeSwitches returns how many clean->full interpreter transitions this
+// VM made. Differential tests read it to prove a run actually exercised
+// both interpreters.
+func (v *VM) ModeSwitches() uint64 { return v.modeSwitches }
 
 // toFullMode leaves clean mode: reconstructs every live frame's shadow
 // registers from their (still pristine) primaries and swaps all frames to
 // the full code array. Sets reframe so loop call-outs refetch their cached
 // code slice; paths that refetch anyway must clear it.
 func (v *VM) toFullMode() {
-	cleanSwitches.Add(1)
+	v.modeSwitches++
 	v.clean = false
 	v.reframe = true
 	for i := range v.frames {

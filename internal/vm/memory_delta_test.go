@@ -173,19 +173,19 @@ func TestDeltaRestoreChain(t *testing.T) {
 	}
 }
 
-// TestFullCopyFallbacks checks the paths that must refuse the delta:
-// delta restores disabled, and a base invalidated by Reset.
+// TestFullCopyFallbacks checks the paths that must refuse the delta: the
+// first restore onto memory that never equalled a snapshot, and a base
+// invalidated by Reset.
 func TestFullCopyFallbacks(t *testing.T) {
-	m := NewMemory(4096, 64)
-	m.Write(3, 33)
-	s := m.Snapshot(nil)
-	m.Write(3, 44)
+	src := NewMemory(4096, 64)
+	src.Write(3, 33)
+	s := src.Snapshot(nil)
 
-	SetDeltaRestore(false)
+	m := NewMemory(4096, 64)
+	m.Write(3, 44)
 	st := m.RestoreSnap(s)
-	SetDeltaRestore(true)
 	if st.Delta {
-		t.Fatalf("restore took the delta path while disabled: %+v", st)
+		t.Fatalf("first restore onto fresh memory took the delta path: %+v", st)
 	}
 	checkEqualsSnap(t, m, s)
 

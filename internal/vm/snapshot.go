@@ -23,9 +23,14 @@ import (
 // called from inside the hook, and the captured frame stack resumes at the
 // instruction after the quiescing intrinsic.
 //
+// The same Snapshot backs the in-VM checkpoint/rollback facility
+// (checkpoint.go), which captures at timestep boundaries and restores
+// through the shared restore body below.
+//
 // Not snapshotted (callers must not combine them with snapshot forking):
-// the naive-taint ablation state, direct memory faults, the in-VM
-// checkpoint/rollback facility, and the job-global Clock.
+// the naive-taint ablation state, direct memory faults, the job-global
+// Clock, and a forking VM's own checkpoints — a fork starts with none,
+// where a from-scratch run may already hold one from before the cut.
 
 // QuiesceHook observes quiesce points. seq is the running quiesce-point
 // index of this rank's execution (0-based); for a multi-rank job every rank
@@ -83,9 +88,9 @@ func (s *Snapshot) Sites() uint64 { return s.sites }
 func (s *Snapshot) Cycles() uint64 { return s.cycles }
 
 // Snapshot captures the VM into s (reusing s's backing where possible; nil
-// allocates). It must be called from inside a Quiesce hook: the stored
-// frame stack resumes at the instruction following the quiescing
-// intrinsic.
+// allocates). It must be called from inside a Quiesce hook (or a
+// checkpoint tick): the stored frame stack resumes at the instruction
+// following the quiescing intrinsic.
 func (v *VM) Snapshot(s *Snapshot) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
@@ -118,20 +123,30 @@ func (v *VM) RestoreSnap(s *Snapshot) RestoreStats {
 	if v.cfg.TrackTaint || len(v.cfg.MemFaults) > 0 || v.cfg.CheckpointEvery > 0 || v.cfg.Clock != nil {
 		panic("vm: RestoreSnap with taint, memory faults, checkpointing or a global clock")
 	}
-	stats := v.mem.RestoreSnap(s.mem)
-	stats.Bytes += v.table.RestoreSnap(s.table)
-	v.regs = append(v.regs[:0], s.regs...)
-	v.frames = append(v.frames[:0], s.frames...)
+	stats := v.restore(s)
 	v.cycles = s.cycles
 	v.pushed = s.cycles
 	v.sites = s.sites
 	v.injCycles = append(v.injCycles[:0], s.injCycles...)
+	v.qseq = s.qseq
+	return stats
+}
+
+// restore installs the snapshot's program state — memory, table,
+// registers, frames, outputs, iteration and tick counters, interpreter
+// mode — and reports the restore cost. The counters that measure the run
+// itself (cycles, sites, injection cycles, quiesce seq) are the caller's:
+// a fork adopts them, a checkpoint rollback keeps its own.
+func (v *VM) restore(s *Snapshot) RestoreStats {
+	stats := v.mem.RestoreSnap(s.mem)
+	stats.Bytes += v.table.RestoreSnap(s.table)
+	v.regs = append(v.regs[:0], s.regs...)
+	v.frames = append(v.frames[:0], s.frames...)
 	// The output vector escapes into run results; appending into the
 	// run-owned buffer (pre-sized by the State pool's hint) keeps it so.
 	v.outputs = append(v.outputs[:0], s.outputs...)
 	v.iterations = s.iterations
 	v.ticks = s.ticks
-	v.qseq = s.qseq
 	// Adopt the capture-time interpreter mode (capped by this VM's own
 	// eligibility — e.g. its injector may not be able to plan sites) and
 	// normalize the restored frames' code arrays to it: the snapshot's

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/fpm"
 	"repro/internal/ir"
@@ -64,6 +63,11 @@ type Config struct {
 	// only: it disables the clean-mode interpreter and the site fast path
 	// so no site is skipped.
 	SiteObserver SiteObserver
+	// FullInterp runs the full dual-chain interpreter throughout, never the
+	// clean-mode interpreter (see cleanmode.go). Observable behaviour is
+	// identical either way; differential tests and benches set it to get
+	// the reference interpreter.
+	FullInterp bool
 	// ForkRestore declares that the caller will RestoreSnap a snapshot
 	// onto this VM before running it. New then skips resetting the pooled
 	// State and skips global initialization — the restore overwrites both
@@ -107,7 +111,7 @@ type VM struct {
 	// wire is cfg.MPI's buffer-recycling extension, when it has one.
 	wire WireBufs
 
-	snap      *vmSnapshot
+	ckpt      *Snapshot // last checkpoint (checkpoint.go)
 	rollbacks int
 	restored  bool
 
@@ -118,6 +122,8 @@ type VM struct {
 	clean   bool
 	cleanOK bool
 	reframe bool
+	// modeSwitches counts clean->full transitions (ModeSwitches).
+	modeSwitches uint64
 	// nextSite is the next dynamic fim_inj site at which the injector may
 	// act: sites below it take a pass-through fast path. NoSite when no
 	// injector (or no remaining fault) is armed; 0 when the injector
@@ -186,12 +192,11 @@ func New(prog *ir.Program, cfg Config) *VM {
 	v.refreshNextSite()
 	// Clean mode needs: a program whose dual-chain register pairing is
 	// declared, no ablation that observes the skipped instructions (taint)
-	// or mutates memory behind the table's back (memory faults), no in-VM
-	// checkpointing (its snapshots are not mode-aware), and an injector
-	// that can announce its next site — otherwise the very first fim_inj
-	// would bounce the VM out of clean mode anyway.
-	v.cleanOK = v.dprog.cleanOK && !cleanInterpOff.Load() &&
-		!cfg.TrackTaint && len(cfg.MemFaults) == 0 && cfg.CheckpointEvery == 0 &&
+	// or mutates memory behind the table's back (memory faults), and an
+	// injector that can announce its next site — otherwise the very first
+	// fim_inj would bounce the VM out of clean mode anyway.
+	v.cleanOK = v.dprog.cleanOK && !cfg.FullInterp &&
+		!cfg.TrackTaint && len(cfg.MemFaults) == 0 &&
 		cfg.SiteObserver == nil && (cfg.Injector == nil || v.planner != nil)
 	// A fresh run starts fault-free with an all-zero register file, so
 	// shadows trivially mirror primaries. Fork restores overwrite the mode
@@ -199,21 +204,6 @@ func New(prog *ir.Program, cfg Config) *VM {
 	v.clean = v.cleanOK
 	return v
 }
-
-// cleanInterpOff disables the clean-mode interpreter when set. The zero
-// value — clean mode enabled — is the default; benches and the
-// differential tests flip it to compare the two interpreters.
-var cleanInterpOff atomic.Bool
-
-// SetCleanInterp toggles the clean-mode interpreter (default on): while a
-// rank is provably fault-free the VM skips the redundant secondary chain.
-// Takes effect for VMs constructed after the call. The full interpreter
-// remains the fallback either way; the toggle exists so benches and CI can
-// measure and differentially test both paths.
-func SetCleanInterp(on bool) { cleanInterpOff.Store(!on) }
-
-// CleanInterpEnabled reports whether the clean-mode interpreter is enabled.
-func CleanInterpEnabled() bool { return !cleanInterpOff.Load() }
 
 // refreshNextSite re-reads the injector's next planned site after any call
 // that may have advanced it.
