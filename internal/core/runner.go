@@ -34,8 +34,6 @@ type RunConfig struct {
 	Plan inject.Plan
 	// SampleEvery subsamples the CML trace (0: keep every change).
 	SampleEvery uint64
-	// Timeout bounds blocking MPI calls (0: a generous default).
-	Timeout time.Duration
 	// TrackTaint enables the naive-taint tracker in every rank's VM (for
 	// the dual-chain vs. taint ablation).
 	TrackTaint bool
@@ -73,9 +71,9 @@ func (cfg RunConfig) normalize() RunConfig {
 }
 
 // Reuse bundles what a campaign worker recycles between experiments: one
-// vm.State per rank, the MPI job (mailbox channels, endpoints and their
-// timers), the per-rank injectors and trace recorders, and the runner's own
-// scratch. Observable results are identical with or without it.
+// vm.State per rank, the MPI job (mailbox channels and endpoints), the
+// per-rank injectors and trace recorders, and the runner's own scratch.
+// Observable results are identical with or without it.
 type Reuse struct {
 	states []*vm.State
 	job    *mpi.Job
@@ -259,8 +257,8 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 	cfg = cfg.normalize()
 	ru, from := cfg.Reuse, cfg.From
 	job := ru.job
-	if job == nil || !job.Recycle(cfg.Ranks, cfg.Timeout) {
-		job = mpi.NewJob(cfg.Ranks, cfg.Timeout)
+	if job == nil || !job.Recycle(cfg.Ranks) {
+		job = mpi.NewJob(cfg.Ranks, 0)
 	}
 	// Keep the job for the next run; Recycle rejects it if this run aborts
 	// it.
@@ -364,10 +362,9 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 				job.Kill()
 			} else {
 				// A cleanly finished rank never communicates again; announce
-				// the departure so peers blocked on it fail fast (a fault
+				// the departure so peers blocked on it fail at once (a fault
 				// that corrupts a trip count desynchronizes the collective
-				// schedule, which would otherwise stall until the wall-clock
-				// safety timeout).
+				// schedule).
 				job.Leave(r)
 			}
 		}(r)
@@ -399,10 +396,7 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			AttributeTable(regions, st.v.Table(),
 				1+prog.GlobalWords, st.v.Mem().AllocatedWords(), rr.StructCML)
 		}
-		// No shared Clock is configured: with a nil clock the VM reports
-		// rank-local cycles as time, keeping every trace observable a
-		// deterministic function of the seed.
-		st.rec.Finish(st.v.Cycles(), st.v.Cycles(), st.v.Table().Len())
+		st.rec.Finish(st.v.Cycles(), st.v.Table().Len())
 		rr.Points = st.rec.Points()
 		if t, ok := st.rec.FirstContamination(); ok {
 			rr.FirstContam = t

@@ -3,7 +3,6 @@ package core
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/inject"
 	"repro/internal/ir"
@@ -122,7 +121,7 @@ func TestGoldenCaptureResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := RunConfig{Ranks: 2, SampleEvery: 8, Timeout: 2 * time.Second}
+	rcfg := RunConfig{Ranks: 2, SampleEvery: 8}
 
 	golden, cuts := RunGoldenProfile(inst, rcfg)
 	if golden.Err != nil {
@@ -214,7 +213,7 @@ func TestResumeWithReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := RunConfig{Ranks: 2, SampleEvery: 4, Timeout: 2 * time.Second}
+	rcfg := RunConfig{Ranks: 2, SampleEvery: 4}
 	golden, cuts := RunGoldenProfile(inst, rcfg)
 	if golden.Err != nil || len(cuts) == 0 {
 		t.Fatalf("profile: err=%v cuts=%d", golden.Err, len(cuts))

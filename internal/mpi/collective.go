@@ -3,20 +3,19 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ir"
 )
 
-// Collectives use a rendezvous protocol: the first arriving rank of a round
-// creates the round, each rank deposits its contribution, and the last
-// arrival computes the result and publishes it by handing one token per
-// waiter through the round's ready channel (a send happens-before the
-// matching receive, so the result is visible). SPMD programs enter
-// collectives in lockstep, so one active round per job suffices; a fresh
-// round starts as soon as the previous one is complete, even while earlier
-// waiters are still reading their result.
+// Collectives use a rendezvous protocol under the job lock: the first
+// arriving rank of a round creates the round, each rank deposits its
+// contribution and parks, and the last arrival computes the result and
+// wakes every parked member (a channel send happens-before the matching
+// receive, so the result is visible). SPMD programs enter collectives in
+// lockstep, so one active round per job suffices; a fresh round starts as
+// soon as the previous one is complete, even while earlier waiters are
+// still reading their result.
 
 type collKind int
 
@@ -49,12 +48,8 @@ type round struct {
 	readers atomic.Int32
 	contrib []contribution
 	present []bool
-	// ready carries one token per waiter (capacity size-1). A recycled
-	// round's channel is empty — every waiter of the previous use consumed
-	// its token, or the round leaked — so the channel itself is reused.
-	ready chan struct{}
-	res   result
-	err   error
+	res     result
+	err     error
 	// resP and resS back allreduce results across recycles. Safe to reuse:
 	// combine (the only writer) runs at the last arrival of a round, which
 	// cannot happen while any rank is still reading the previous result —
@@ -62,13 +57,12 @@ type round struct {
 	resP, resS []uint64
 }
 
+// coll is the job's collective state, guarded by the job lock.
 type coll struct {
-	mu   sync.Mutex
 	size int
-	done chan struct{}
 	cur  *round
 	// free is a one-slot round freelist. A round is recycled only after
-	// every rank has read its result; rounds abandoned by aborting ranks
+	// every rank has read its result; rounds abandoned by failing ranks
 	// never reach that count and simply fall to the garbage collector.
 	free *round
 }
@@ -85,99 +79,56 @@ func (c *coll) newRound() *round {
 		r = &round{
 			contrib: make([]contribution, c.size),
 			present: make([]bool, c.size),
-			ready:   make(chan struct{}, c.size-1),
 		}
 	}
 	r.readers.Store(int32(c.size))
 	return r
 }
 
-// release is called by a rank after it has read r.res/r.err.
-func (c *coll) release(r *round) {
+// retire is called by a rank after it has read r.res/r.err.
+func (j *Job) retire(r *round) {
 	if r.readers.Add(-1) == 0 {
-		c.mu.Lock()
-		if c.free == nil {
-			c.free = r
+		j.mu.Lock()
+		if j.coll.free == nil {
+			j.coll.free = r
 		}
-		c.mu.Unlock()
+		j.mu.Unlock()
 	}
 }
 
-func (c *coll) join(e *Endpoint, cb contribution) (result, error) {
-	rank := e.rank
-	c.mu.Lock()
+func (j *Job) join(rank int, cb contribution) (result, error) {
+	c := &j.coll
+	j.mu.Lock()
 	if c.cur == nil {
 		c.cur = c.newRound()
 	}
 	r := c.cur
 	if r.present[rank] {
-		c.mu.Unlock()
+		j.mu.Unlock()
 		return result{}, fmt.Errorf("mpi: rank %d entered the same collective round twice", rank)
 	}
 	r.present[rank] = true
 	r.contrib[rank] = cb
 	r.arrived++
-	if r.arrived == c.size {
+	if r.arrived < c.size {
+		if err := j.park(rank, rankWait{kind: onColl}); err != nil {
+			return result{}, err
+		}
+	} else {
 		r.res, r.err = combine(r.contrib, r)
-		for i := 1; i < c.size; i++ {
-			r.ready <- struct{}{}
-		}
 		c.cur = nil
-		c.mu.Unlock()
-		// Last arrival: the round is complete, no wait needed.
-		res, err := r.res, r.err
-		c.release(r)
-		return res, err
-	}
-	c.mu.Unlock()
-
-	t := e.armTimer()
-	defer e.disarmTimer()
-	for {
-		// Capture the watch before the doom check so a departure between the
-		// check and the select still wakes this waiter.
-		lw := e.job.leaveWatch()
-		if c.doomed(e.job, r) {
-			return result{}, ErrDeserted
+		// Every other member parked when it joined, unless the job was
+		// already killed.
+		for i := range r.present {
+			if j.waits[i].kind == onColl {
+				j.wake(i, nil)
+			}
 		}
-		select {
-		case <-r.ready:
-			res, err := r.res, r.err
-			c.release(r)
-			return res, err
-		case <-c.done:
-			return result{}, ErrAborted
-		case <-t.C:
-			return result{}, ErrTimeout
-		case <-lw:
-			// A rank departed; loop to re-check whether the round is doomed.
-		}
+		j.mu.Unlock()
 	}
-}
-
-// doomed reports whether round r can never complete: a collective needs all
-// ranks, so the round is dead as soon as any rank has left the job without
-// having joined it. Ranks present in the round cannot leave while it is
-// incomplete (join blocks them), so a departed-and-present rank implies the
-// round already completed.
-func (c *coll) doomed(j *Job, r *round) bool {
-	j.leaveMu.Lock()
-	defer j.leaveMu.Unlock()
-	if j.nleft == 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.arrived == c.size {
-		// Complete; the result token is (or will be) in r.ready.
-		return false
-	}
-	for i, l := range j.left {
-		if l && !r.present[i] {
-			return true
-		}
-	}
-	return false
+	res, err := r.res, r.err
+	j.retire(r)
+	return res, err
 }
 
 // combine validates that all ranks entered the same collective with

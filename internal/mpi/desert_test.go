@@ -6,11 +6,8 @@ import (
 	"time"
 )
 
-// The desertion tests use generous job timeouts so a pass proves the
-// deterministic fast path fired, not the wall-clock safety net.
-
 func TestCollectiveDesertsWhenPeerLeaves(t *testing.T) {
-	j := NewJob(2, 30*time.Second)
+	j := NewJob(2, 0)
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- j.Endpoint(1).Barrier()
@@ -29,7 +26,7 @@ func TestCollectiveDesertsWhenPeerLeaves(t *testing.T) {
 }
 
 func TestCollectiveDesertsWhenPeerAlreadyLeft(t *testing.T) {
-	j := NewJob(2, 30*time.Second)
+	j := NewJob(2, 0)
 	j.Leave(0)
 	if err := j.Endpoint(1).Barrier(); !errors.Is(err, ErrDeserted) {
 		t.Fatalf("barrier with departed peer: got %v, want ErrDeserted", err)
@@ -37,7 +34,7 @@ func TestCollectiveDesertsWhenPeerAlreadyLeft(t *testing.T) {
 }
 
 func TestRecvDrainsQueueThenDeserts(t *testing.T) {
-	j := NewJob(2, 30*time.Second)
+	j := NewJob(2, 0)
 	e0, e1 := j.Endpoint(0), j.Endpoint(1)
 	if err := e0.Send(1, 7, []byte("last words")); err != nil {
 		t.Fatal(err)
@@ -58,7 +55,7 @@ func TestRecvDrainsQueueThenDeserts(t *testing.T) {
 }
 
 func TestRecvDesertsWhileBlocked(t *testing.T) {
-	j := NewJob(2, 30*time.Second)
+	j := NewJob(2, 0)
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := j.Endpoint(1).Recv(0, 7)
@@ -77,7 +74,7 @@ func TestRecvDesertsWhileBlocked(t *testing.T) {
 }
 
 func TestSendToDepartedRankDesertsWhenQueueFull(t *testing.T) {
-	j := NewJob(2, 30*time.Second)
+	j := NewJob(2, 0)
 	e0 := j.Endpoint(0)
 	// Fill rank 1's queue from rank 0; the next send must block.
 	for i := 0; i < cap(j.mail[1][0]); i++ {
@@ -92,29 +89,35 @@ func TestSendToDepartedRankDesertsWhenQueueFull(t *testing.T) {
 }
 
 func TestRecycleClearsDepartures(t *testing.T) {
-	j := NewJob(2, 50*time.Millisecond)
+	j := NewJob(2, 0)
 	j.Leave(0)
 	if err := j.Endpoint(1).Barrier(); !errors.Is(err, ErrDeserted) {
 		t.Fatalf("pre-recycle barrier: got %v, want ErrDeserted", err)
 	}
-	if !j.Recycle(2, 50*time.Millisecond) {
+	if !j.Recycle(2) {
 		t.Fatal("recycle refused a same-shape job")
 	}
-	// With the departure cleared, a lone barrier waits out the (short)
-	// safety timeout instead of deserting immediately.
-	if err := j.Endpoint(1).Barrier(); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("post-recycle barrier: got %v, want ErrTimeout", err)
+	// With the departure cleared, a lone barrier parks; once rank 0 parks
+	// too, in a receive nobody will satisfy, both calls end in a deadlock,
+	// not a desertion.
+	errCh := make(chan error, 1)
+	go func() { errCh <- j.Endpoint(1).Barrier() }()
+	if _, err := j.Endpoint(0).Recv(1, 7); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("post-recycle recv: got %v, want ErrDeadlock", err)
+	}
+	if err := <-errCh; !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("post-recycle barrier: got %v, want ErrDeadlock", err)
 	}
 }
 
 func TestLeaveIsIdempotentAndDoesNotAbort(t *testing.T) {
-	j := NewJob(2, time.Second)
+	j := NewJob(2, 0)
 	j.Leave(0)
 	j.Leave(0)
 	if j.Aborted() {
 		t.Fatal("Leave must not abort the job")
 	}
-	if !j.hasLeft(0) || j.hasLeft(1) {
-		t.Fatal("departure flags wrong")
+	if j.nleft != 1 || j.waits[0].kind != gone || j.waits[1].kind != running {
+		t.Fatalf("departures wrong: nleft %d, waits %v", j.nleft, j.waits)
 	}
 }

@@ -7,13 +7,18 @@
 // Failure semantics mirror a production MPI: when any rank dies — a trap, an
 // application MPI_Abort, or a framework kill — the whole job aborts and every
 // blocked communication call returns an error, so sibling ranks crash out
-// instead of hanging (class C in the outcome taxonomy).
+// instead of hanging (class C in the outcome taxonomy). A blocked call that
+// can provably never complete fails too, at the moment that becomes certain
+// (ErrDeserted, ErrDeadlock), so no run waits on a wall clock. Every rank
+// must end with Leave or Kill: a rank that neither runs nor has left would
+// keep its peers' waits open forever.
 package mpi
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ir"
@@ -23,48 +28,66 @@ import (
 // ErrAborted is returned by communication calls after the job has aborted.
 var ErrAborted = errors.New("mpi: job aborted")
 
-// ErrTimeout is returned when a blocking call exceeds the job's wall-clock
-// safety timeout (a defense against framework bugs, not an MPI feature).
-var ErrTimeout = errors.New("mpi: wall-clock timeout")
-
 // ErrDeserted is returned when a blocking call can provably never complete
-// because a peer rank it depends on has finished its program and left the
-// job: a collective round missing a departed rank will never fill, and a
-// receive from a departed rank with an empty queue will never match. This is
-// the deterministic, prompt form of the deadlock that the wall-clock timeout
-// would otherwise catch 60 seconds later — a desynchronized collective
-// schedule is a common consequence of an injected fault corrupting a trip
-// count, so the fast path matters for campaign throughput. Like ErrTimeout
-// and ErrAborted it surfaces in the VM as a peer-failure trap, so outcome
-// classification is unchanged.
+// because a peer rank it depends on has left the job: a collective round
+// missing a departed rank will never fill, a receive from a departed rank
+// with an empty queue will never match, and a departed rank will never
+// drain a full queue. A desynchronized collective schedule is a common
+// consequence of an injected fault corrupting a trip count. It surfaces in
+// the VM as a peer-failure trap, like ErrAborted.
 var ErrDeserted = errors.New("mpi: peer rank finished; operation can never complete")
+
+// ErrDeadlock is returned to every blocked call once no rank of the job is
+// running: each one is parked in a call or has left, so nothing can ever
+// complete a wait. A fault that desynchronizes the schedule while every
+// rank stays in the job — each waits on a message or round that no peer
+// will provide — ends this way. It surfaces in the VM as a peer-failure
+// trap, like ErrAborted.
+var ErrDeadlock = errors.New("mpi: every rank is blocked; operation can never complete")
 
 type message struct {
 	tag  int
 	data []byte
 }
 
+// waitKind is a rank's state in the wait rule: running, parked in a call
+// (and on what), or gone.
+type waitKind uint8
+
+const (
+	running waitKind = iota
+	onRecv           // parked in Recv until peer's queue to it is non-empty
+	onSend           // parked in Send until its queue to peer has room
+	onColl           // parked in a collective until the current round fills
+	gone             // left the job; never communicates again
+)
+
+type rankWait struct {
+	kind waitKind
+	peer int // the partner of onRecv/onSend
+}
+
 // Job is one parallel run: size ranks, their mailboxes, and the shared
 // collective state.
 type Job struct {
-	size    int
-	timeout time.Duration
+	size int
 
 	// mail[dst][src] is the ordered queue of messages from src to dst.
 	mail [][]chan message
 
-	done   chan struct{}
-	killMu sync.Mutex
-	flag   vm.AbortFlag
-
-	// Departure tracking: left[r] is set once rank r's goroutine has
-	// returned cleanly and will never communicate again. leaveCh is closed
-	// and replaced on every departure, waking blocked calls so they can
-	// re-check whether their wait has become unsatisfiable.
-	leaveMu sync.Mutex
-	left    []bool
+	// mu guards the wait rule's state — waits, nparked, nleft, killed,
+	// done — and the collective rounds. A rank is recorded as parked only
+	// after its wait was found unsatisfied under mu, and whoever makes a
+	// parked wait completable clears the record under mu before waking the
+	// rank, so nparked is exact: when nparked+nleft == size no rank is
+	// running and no wait can ever complete.
+	mu      sync.Mutex
+	waits   []rankWait
+	nparked int
 	nleft   int
-	leaveCh chan struct{}
+	killed  bool
+	done    chan struct{}
+	flag    vm.AbortFlag
 
 	coll coll
 	eps  []Endpoint
@@ -84,26 +107,19 @@ type Job struct {
 	bufs chan []byte
 }
 
-// defaultTimeout bounds blocking calls when the caller passes zero.
-const defaultTimeout = 60 * time.Second
-
-// NewJob creates a job with the given number of ranks. timeout bounds every
-// blocking call; zero selects a generous default.
-func NewJob(size int, timeout time.Duration) *Job {
+// NewJob creates a job with the given number of ranks. The second argument
+// is ignored: blocked calls end by the wait rule, not by a wall clock. It
+// remains so existing callers keep compiling.
+func NewJob(size int, _ time.Duration) *Job {
 	if size <= 0 {
 		panic("mpi: job size must be positive")
 	}
-	if timeout == 0 {
-		timeout = defaultTimeout
-	}
 	j := &Job{
-		size:    size,
-		timeout: timeout,
-		mail:    make([][]chan message, size),
-		done:    make(chan struct{}),
-		left:    make([]bool, size),
-		leaveCh: make(chan struct{}),
-		bufs:    make(chan []byte, 256),
+		size:  size,
+		mail:  make([][]chan message, size),
+		waits: make([]rankWait, size),
+		done:  make(chan struct{}),
+		bufs:  make(chan []byte, 256),
 	}
 	for dst := range j.mail {
 		j.mail[dst] = make([]chan message, size)
@@ -112,43 +128,35 @@ func NewJob(size int, timeout time.Duration) *Job {
 		}
 	}
 	j.coll.size = size
-	j.coll.done = j.done
 	j.eps = make([]Endpoint, size)
 	for r := range j.eps {
-		j.eps[r] = Endpoint{job: j, rank: r, pending: make([][]message, size)}
+		j.eps[r] = Endpoint{job: j, rank: r, pending: make([][]message, size), wake: make(chan error, 1)}
 	}
 	return j
 }
 
 // Recycle prepares a completed job for another run of the same shape:
 // mailboxes are drained, pending buffers emptied and collective state
-// cleared, while the channels, endpoints and their timers survive. An
-// aborted job gets a fresh done channel and a lowered abort flag — once
-// every rank goroutine has exited there is nothing left to observe the old
-// ones. It returns false — leaving the job untouched — when the shape or
-// timeout differs; the caller must then build a fresh job. Only call
-// between runs, with no rank goroutines alive.
-func (j *Job) Recycle(size int, timeout time.Duration) bool {
-	if timeout == 0 {
-		timeout = defaultTimeout
-	}
-	if j.size != size || j.timeout != timeout {
+// cleared, while the channels and endpoints survive. An aborted job gets a
+// fresh done channel and a lowered abort flag — once every rank goroutine
+// has exited there is nothing left to observe the old ones. It returns
+// false — leaving the job untouched — when the shape differs; the caller
+// must then build a fresh job. Only call between runs, with no rank
+// goroutines alive.
+func (j *Job) Recycle(size int) bool {
+	if j.size != size {
 		return false
 	}
-	if j.Aborted() {
-		j.killMu.Lock()
+	j.mu.Lock()
+	if j.killed {
+		j.killed = false
 		j.done = make(chan struct{})
-		j.coll.done = j.done
 		j.flag.Lower()
-		j.killMu.Unlock()
 	}
-	j.leaveMu.Lock()
-	if j.nleft > 0 {
-		clear(j.left)
-		j.nleft = 0
-		j.leaveCh = make(chan struct{})
-	}
-	j.leaveMu.Unlock()
+	clear(j.waits)
+	j.nparked, j.nleft = 0, 0
+	j.coll.cur = nil
+	j.mu.Unlock()
 	// Skip the mail/pending drain when the world still equals the last
 	// restored snapshot (no Send/Recv ran since): the next RestoreWorld of
 	// the same snapshot is then a no-op, which is the common case when one
@@ -157,9 +165,6 @@ func (j *Job) Recycle(size int, timeout time.Duration) bool {
 	if j.worldGen == 0 || j.opsSum() != j.worldOps {
 		j.drainWorld()
 	}
-	j.coll.mu.Lock()
-	j.coll.cur = nil
-	j.coll.mu.Unlock()
 	return true
 }
 
@@ -219,71 +224,157 @@ func (j *Job) Flag() *vm.AbortFlag { return &j.flag }
 // Kill aborts the job: the abort flag is raised and all blocked
 // communication calls return ErrAborted. Idempotent.
 func (j *Job) Kill() {
-	j.killMu.Lock()
-	defer j.killMu.Unlock()
-	select {
-	case <-j.done:
-	default:
+	j.mu.Lock()
+	if !j.killed {
+		j.killed = true
 		j.flag.Raise()
 		close(j.done)
+		for r := range j.waits {
+			if j.parked(r) {
+				j.wake(r, ErrAborted)
+			}
+		}
 	}
+	j.mu.Unlock()
 }
 
 // Done returns the channel closed when the job aborts, for callers that
 // must not block forever on a job that died. Capture it once per run:
 // Recycle replaces the channel after an aborted run.
 func (j *Job) Done() <-chan struct{} {
-	j.killMu.Lock()
-	defer j.killMu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return j.done
-}
-
-// Leave records that rank's goroutine has returned cleanly and will never
-// communicate again, and wakes every blocked call so it can re-check for
-// desertion: once a rank has left, no collective round it is absent from
-// can ever complete, and no new message from it can ever arrive. The caller
-// must guarantee all of rank's sends happened before Leave (returning from
-// the rank's program body does). Idempotent.
-func (j *Job) Leave(rank int) {
-	if rank < 0 || rank >= j.size {
-		panic(fmt.Sprintf("mpi: leave of invalid rank %d", rank))
-	}
-	j.leaveMu.Lock()
-	if !j.left[rank] {
-		j.left[rank] = true
-		j.nleft++
-		close(j.leaveCh)
-		j.leaveCh = make(chan struct{})
-	}
-	j.leaveMu.Unlock()
-}
-
-// leaveWatch returns the channel closed at the next departure. Capture it
-// before checking hasLeft: a departure between the check and the blocking
-// wait then still wakes the waiter.
-func (j *Job) leaveWatch() <-chan struct{} {
-	j.leaveMu.Lock()
-	ch := j.leaveCh
-	j.leaveMu.Unlock()
-	return ch
-}
-
-// hasLeft reports whether rank has departed.
-func (j *Job) hasLeft(rank int) bool {
-	j.leaveMu.Lock()
-	l := j.left[rank]
-	j.leaveMu.Unlock()
-	return l
 }
 
 // Aborted reports whether the job has been killed.
 func (j *Job) Aborted() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.killed
+}
+
+// Leave records that rank's goroutine has returned and will never
+// communicate again. Departure can make other waits hopeless, so the wait
+// rule is re-checked. The caller must guarantee all of rank's sends
+// happened before Leave (returning from the rank's program body does).
+// Idempotent.
+func (j *Job) Leave(rank int) {
+	if rank < 0 || rank >= j.size {
+		panic(fmt.Sprintf("mpi: leave of invalid rank %d", rank))
 	}
+	j.mu.Lock()
+	if j.waits[rank].kind != gone {
+		j.waits[rank] = rankWait{kind: gone}
+		j.nleft++
+		j.check()
+	}
+	j.mu.Unlock()
+}
+
+// park blocks rank r on w. Call it with j.mu held; it returns with j.mu
+// released. It returns nil once the wait may have become completable —
+// the caller re-tries its operation — or the error that ends the wait.
+// Recv and Send publish their endpoint's recvFrom/sendTo hint before
+// taking j.mu, so a peer that completes the wait without the lock either
+// sees the hint and wakes r, or acts before the re-check below sees its
+// effect.
+func (j *Job) park(r int, w rankWait) error {
+	j.waits[r] = w
+	j.nparked++
+	switch {
+	case j.killed:
+		j.wake(r, ErrAborted)
+	case j.ready(r):
+		j.wake(r, nil)
+	default:
+		j.check()
+	}
+	j.mu.Unlock()
+	return <-j.eps[r].wake
+}
+
+// ready reports whether parked rank r's wait is already satisfied. Only
+// r consumes from its incoming queue and only r fills its outgoing one, so
+// a satisfied wait stays satisfied until r acts.
+func (j *Job) ready(r int) bool {
+	w := j.waits[r]
+	switch w.kind {
+	case onRecv:
+		return len(j.mail[r][w.peer]) > 0
+	case onSend:
+		ch := j.mail[w.peer][r]
+		return len(ch) < cap(ch)
+	}
+	// A collective round is filled under j.mu by its last arrival.
+	return false
+}
+
+// check wakes the parked ranks whose wait can never complete: first those
+// deserted by a departed partner (ErrDeserted), then — if no rank is left
+// running — every parked rank (ErrDeadlock). It runs under j.mu on every
+// park and every Leave, the only events that can make a wait hopeless.
+func (j *Job) check() {
+	if j.nleft > 0 {
+		for r := range j.waits {
+			if j.parked(r) && j.deserted(r) {
+				j.wake(r, ErrDeserted)
+			}
+		}
+	}
+	if j.nparked > 0 && j.nparked+j.nleft == j.size {
+		for r := range j.waits {
+			if j.parked(r) {
+				j.wake(r, ErrDeadlock)
+			}
+		}
+	}
+}
+
+// deserted reports whether parked rank r waits on a departed rank: its
+// point-to-point partner, or any rank missing from its collective round.
+// (A parked receiver's queue is empty and all of a departed sender's
+// messages were queued before it left, so none can ever arrive.)
+func (j *Job) deserted(r int) bool {
+	w := j.waits[r]
+	if w.kind != onColl {
+		return j.waits[w.peer].kind == gone
+	}
+	for i, p := range j.coll.cur.present {
+		if !p && j.waits[i].kind == gone {
+			return true
+		}
+	}
+	return false
+}
+
+func (j *Job) parked(r int) bool {
+	k := j.waits[r].kind
+	return k != running && k != gone
+}
+
+// wake ends parked rank r's wait with err (nil: re-try the operation),
+// recording it as running again and clearing its hints. The send never
+// blocks: only the waker that clears a park sends, so the one-slot
+// channel is empty.
+func (j *Job) wake(r int, err error) {
+	j.waits[r] = rankWait{}
+	j.nparked--
+	e := &j.eps[r]
+	e.recvFrom.Store(0)
+	e.sendTo.Store(0)
+	e.wake <- err
+}
+
+// release wakes rank r if it is still parked on w, which the caller has
+// just satisfied. The lock-free hint load that precedes a release keeps
+// the common case — nobody waiting — off j.mu.
+func (j *Job) release(r int, w rankWait) {
+	j.mu.Lock()
+	if j.waits[r] == w {
+		j.wake(r, nil)
+	}
+	j.mu.Unlock()
 }
 
 // Endpoint returns rank r's endpoint. Each endpoint must be used by a
@@ -303,38 +394,18 @@ type Endpoint struct {
 	// pending[src] buffers messages received from src while looking for a
 	// specific tag (tag matching with per-pair ordering).
 	pending [][]message
-	// tmr is the reusable wall-clock safety timer armed around blocking
-	// waits. One timer per endpoint instead of one per call keeps the
-	// communication-heavy experiment loop allocation-free.
-	tmr *time.Timer
+	// recvFrom and sendTo hold peer+1 while the rank is parked, or about
+	// to park, in Recv from peer or in Send to peer (0 otherwise). Peers
+	// load them without the job lock after queueing a message or making
+	// room, and take the lock only to wake a rank that waits on them.
+	recvFrom, sendTo atomic.Int32
+	// wake carries the one token that ends a park.
+	wake chan error
 	// ops counts Send/Recv calls on this endpoint. Written only by the
 	// rank's own goroutine, read only at quiescent points (between runs);
 	// the job sums it to detect whether point-to-point state may have
 	// changed since a world restore.
 	ops uint64
-}
-
-// armTimer returns the endpoint's timeout timer, armed with the job
-// timeout. Every armTimer must be paired with disarmTimer before the next
-// blocking call.
-func (e *Endpoint) armTimer() *time.Timer {
-	if e.tmr == nil {
-		e.tmr = time.NewTimer(e.job.timeout)
-	} else {
-		e.tmr.Reset(e.job.timeout)
-	}
-	return e.tmr
-}
-
-// disarmTimer stops the armed timer, draining a concurrent expiry so the
-// next Reset starts from a clean channel.
-func (e *Endpoint) disarmTimer() {
-	if !e.tmr.Stop() {
-		select {
-		case <-e.tmr.C:
-		default:
-		}
-	}
 }
 
 var _ vm.MPIEndpoint = (*Endpoint)(nil)
@@ -351,29 +422,20 @@ func (e *Endpoint) Send(dst, tag int, msg []byte) error {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
 	e.ops++
-	// Fast path: queue has room (the common case with deep mailboxes).
-	select {
-	case e.job.mail[dst][e.rank] <- message{tag: tag, data: msg}:
-		return nil
-	default:
-	}
-	t := e.armTimer()
-	defer e.disarmTimer()
+	j, ch := e.job, e.job.mail[dst][e.rank]
 	for {
-		// A departed receiver will never drain its queue; a blocked send to
-		// it (full queue) can therefore never complete.
-		lw := e.job.leaveWatch()
-		if e.job.hasLeft(dst) {
-			return ErrDeserted
-		}
 		select {
-		case e.job.mail[dst][e.rank] <- message{tag: tag, data: msg}:
+		case ch <- message{tag: tag, data: msg}:
+			if j.eps[dst].recvFrom.Load() == int32(e.rank+1) {
+				j.release(dst, rankWait{kind: onRecv, peer: e.rank})
+			}
 			return nil
-		case <-e.job.done:
-			return ErrAborted
-		case <-t.C:
-			return ErrTimeout
-		case <-lw:
+		default:
+		}
+		e.sendTo.Store(int32(dst + 1))
+		j.mu.Lock()
+		if err := j.park(e.rank, rankWait{kind: onSend, peer: dst}); err != nil {
+			return err
 		}
 	}
 }
@@ -393,10 +455,13 @@ func (e *Endpoint) Recv(src, tag int) ([]byte, error) {
 			return m.data, nil
 		}
 	}
-	// Fast path: drain whatever is already queued without arming the timer.
+	j, ch := e.job, e.job.mail[e.rank][src]
 	for {
 		select {
-		case m := <-e.job.mail[e.rank][src]:
+		case m := <-ch:
+			if j.eps[src].sendTo.Load() == int32(e.rank+1) {
+				j.release(src, rankWait{kind: onSend, peer: e.rank})
+			}
 			if m.tag == tag {
 				return m.data, nil
 			}
@@ -404,56 +469,23 @@ func (e *Endpoint) Recv(src, tag int) ([]byte, error) {
 			continue
 		default:
 		}
-		break
-	}
-	t := e.armTimer()
-	defer e.disarmTimer()
-	for {
-		// Capture the watch before checking departure: a Leave between the
-		// check and the select then still wakes this waiter. All of src's
-		// sends happen before its Leave, so once hasLeft is observed a final
-		// non-blocking drain is authoritative — an empty queue stays empty.
-		lw := e.job.leaveWatch()
-		if e.job.hasLeft(src) {
-			for {
-				select {
-				case m := <-e.job.mail[e.rank][src]:
-					if m.tag == tag {
-						return m.data, nil
-					}
-					e.pending[src] = append(e.pending[src], m)
-					continue
-				default:
-				}
-				break
-			}
-			return nil, ErrDeserted
-		}
-		select {
-		case m := <-e.job.mail[e.rank][src]:
-			if m.tag == tag {
-				return m.data, nil
-			}
-			e.pending[src] = append(e.pending[src], m)
-		case <-e.job.done:
-			return nil, ErrAborted
-		case <-t.C:
-			return nil, ErrTimeout
-		case <-lw:
-			// A rank departed; loop to re-check whether it was src.
+		e.recvFrom.Store(int32(src + 1))
+		j.mu.Lock()
+		if err := j.park(e.rank, rankWait{kind: onRecv, peer: src}); err != nil {
+			return nil, err
 		}
 	}
 }
 
 // Barrier blocks until every rank has entered it.
 func (e *Endpoint) Barrier() error {
-	_, err := e.job.coll.join(e, contribution{})
+	_, err := e.job.join(e.rank, contribution{})
 	return err
 }
 
 // Allreduce combines the primary and pristine word vectors of all ranks.
 func (e *Endpoint) Allreduce(prim, prist []uint64, op ir.ReduceOp, isFloat bool) ([]uint64, []uint64, error) {
-	res, err := e.job.coll.join(e, contribution{
+	res, err := e.job.join(e.rank, contribution{
 		kind: collAllreduce, prim: prim, prist: prist, op: op, isFloat: isFloat,
 	})
 	if err != nil {
@@ -468,7 +500,7 @@ func (e *Endpoint) Bcast(root int, msg []byte) ([]byte, error) {
 		return nil, fmt.Errorf("mpi: bcast root %d invalid", root)
 	}
 	isRoot := e.rank == root
-	res, err := e.job.coll.join(e, contribution{
+	res, err := e.job.join(e.rank, contribution{
 		kind: collBcast, bcast: msg, isRoot: isRoot,
 	})
 	if err != nil {

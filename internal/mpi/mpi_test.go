@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestP2PSendRecv(t *testing.T) {
-	j := NewJob(2, time.Second)
+	j := NewJob(2, 0)
 	e0, e1 := j.Endpoint(0), j.Endpoint(1)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -32,7 +33,7 @@ func TestP2PSendRecv(t *testing.T) {
 }
 
 func TestTagMatchingPreservesOrder(t *testing.T) {
-	j := NewJob(2, time.Second)
+	j := NewJob(2, 0)
 	e0, e1 := j.Endpoint(0), j.Endpoint(1)
 	msgs := []struct {
 		tag int
@@ -65,7 +66,7 @@ func TestTagMatchingPreservesOrder(t *testing.T) {
 }
 
 func TestRecvUnblocksOnKill(t *testing.T) {
-	j := NewJob(2, time.Minute)
+	j := NewJob(2, 0)
 	e1 := j.Endpoint(1)
 	errCh := make(chan error, 1)
 	go func() {
@@ -91,16 +92,35 @@ func TestRecvUnblocksOnKill(t *testing.T) {
 	j.Kill() // idempotent
 }
 
-func TestRecvTimeout(t *testing.T) {
-	j := NewJob(2, 20*time.Millisecond)
-	e1 := j.Endpoint(1)
-	if _, err := e1.Recv(0, 0); err != ErrTimeout {
-		t.Errorf("err = %v, want ErrTimeout", err)
+func TestRecvDeadlock(t *testing.T) {
+	// Each rank receives from the other and nobody sends: once the peer
+	// parks too, or the only other rank leaves, no rank is running and
+	// both receives end in a deadlock.
+	for _, leaver := range []bool{false, true} {
+		size := 2
+		if leaver {
+			size = 3
+		}
+		j := NewJob(size, 0)
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := j.Endpoint(0).Recv(1, 0)
+			errCh <- err
+		}()
+		if leaver {
+			j.Leave(2)
+		}
+		if _, err := j.Endpoint(1).Recv(0, 0); !errors.Is(err, ErrDeadlock) {
+			t.Errorf("size %d: rank 1 err = %v, want ErrDeadlock", size, err)
+		}
+		if err := <-errCh; !errors.Is(err, ErrDeadlock) {
+			t.Errorf("size %d: rank 0 err = %v, want ErrDeadlock", size, err)
+		}
 	}
 }
 
 func TestInvalidRanks(t *testing.T) {
-	j := NewJob(2, time.Second)
+	j := NewJob(2, 0)
 	e0 := j.Endpoint(0)
 	if err := e0.Send(5, 0, nil); err == nil {
 		t.Error("send to invalid rank accepted")
@@ -115,7 +135,7 @@ func TestInvalidRanks(t *testing.T) {
 
 func TestBarrierAllRanks(t *testing.T) {
 	const n = 8
-	j := NewJob(n, time.Second)
+	j := NewJob(n, 0)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for r := 0; r < n; r++ {
@@ -141,7 +161,7 @@ func TestBarrierAllRanks(t *testing.T) {
 
 func TestAllreduceSumFloat(t *testing.T) {
 	const n = 4
-	j := NewJob(n, time.Second)
+	j := NewJob(n, 0)
 	var wg sync.WaitGroup
 	results := make([][]uint64, n)
 	prists := make([][]uint64, n)
@@ -179,7 +199,7 @@ func TestAllreduceSumFloat(t *testing.T) {
 
 func TestAllreduceMinMaxInt(t *testing.T) {
 	const n = 3
-	j := NewJob(n, time.Second)
+	j := NewJob(n, 0)
 	run := func(op ir.ReduceOp) []int64 {
 		var wg sync.WaitGroup
 		out := make([]int64, n)
@@ -218,7 +238,7 @@ func TestAllreduceMinMaxInt(t *testing.T) {
 }
 
 func TestAllreduceCountMismatchFailsJob(t *testing.T) {
-	j := NewJob(2, time.Second)
+	j := NewJob(2, 0)
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for r := 0; r < 2; r++ {
@@ -241,7 +261,7 @@ func TestAllreduceCountMismatchFailsJob(t *testing.T) {
 
 func TestBcast(t *testing.T) {
 	const n = 4
-	j := NewJob(n, time.Second)
+	j := NewJob(n, 0)
 	payload := fpm.EncodeMessage([]uint64{42, 43}, []fpm.MsgRecord{{Displacement: 1, Pristine: 99}})
 	var wg sync.WaitGroup
 	results := make([][]byte, n)
@@ -275,7 +295,7 @@ func TestBcast(t *testing.T) {
 }
 
 func TestMixedCollectiveKindsFailJob(t *testing.T) {
-	j := NewJob(2, time.Second)
+	j := NewJob(2, 0)
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(2)
@@ -295,7 +315,7 @@ func TestMixedCollectiveKindsFailJob(t *testing.T) {
 
 func TestSendManyMessagesNoDeadlock(t *testing.T) {
 	// More messages than the channel buffer, consumed concurrently.
-	j := NewJob(2, 5*time.Second)
+	j := NewJob(2, 0)
 	e0, e1 := j.Endpoint(0), j.Endpoint(1)
 	const total = 5000
 	go func() {

@@ -3,7 +3,6 @@ package mpi
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
 // TestWorldSnapshotRoundTrip covers the in-flight-message case: messages
@@ -11,7 +10,7 @@ import (
 // must survive snapshot → consume/mutate → restore, repeatedly, with no
 // aliasing between the snapshot and live buffers.
 func TestWorldSnapshotRoundTrip(t *testing.T) {
-	j := NewJob(2, 5*time.Second)
+	j := NewJob(2, 0)
 	e0, e1 := j.Endpoint(0), j.Endpoint(1)
 
 	// Three in-flight messages from rank 0: tags 7 and 8 queued, and tag 9
@@ -60,12 +59,14 @@ func TestWorldSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Restoring an empty-world snapshot onto a dirty world must clear it.
-	j2 := NewJob(2, 100*time.Millisecond)
+	j2 := NewJob(2, 0)
 	if err := j2.Endpoint(0).Send(1, 3, []byte("dirty")); err != nil {
 		t.Fatal(err)
 	}
-	emptySnap := NewJob(2, time.Second).SnapshotWorld(nil)
+	emptySnap := NewJob(2, 0).SnapshotWorld(nil)
 	j2.RestoreWorld(emptySnap)
+	// With rank 0 gone, an empty queue fails the receive at once.
+	j2.Leave(0)
 	if b, err := j2.Endpoint(1).Recv(0, 3); err == nil {
 		t.Fatalf("restore of an empty world left %q queued", b)
 	}
@@ -74,7 +75,7 @@ func TestWorldSnapshotRoundTrip(t *testing.T) {
 // TestWorldSnapshotReuseBacking checks that snapshotting into an existing
 // WorldSnap of the same shape reuses it and replaces stale contents.
 func TestWorldSnapshotReuseBacking(t *testing.T) {
-	j := NewJob(2, 5*time.Second)
+	j := NewJob(2, 0)
 	e0, e1 := j.Endpoint(0), j.Endpoint(1)
 	if err := e0.Send(1, 1, []byte("one")); err != nil {
 		t.Fatal(err)
@@ -100,12 +101,12 @@ func TestWorldSnapshotReuseBacking(t *testing.T) {
 
 // TestRestoreWorldSizeMismatchPanics pins the shape guard.
 func TestRestoreWorldSizeMismatchPanics(t *testing.T) {
-	j := NewJob(2, time.Second)
+	j := NewJob(2, 0)
 	s := j.SnapshotWorld(nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RestoreWorld across job sizes did not panic")
 		}
 	}()
-	NewJob(3, time.Second).RestoreWorld(s)
+	NewJob(3, 0).RestoreWorld(s)
 }

@@ -41,7 +41,7 @@ func (v *VM) rollback() {
 	v.rollbacks++
 	v.restored = true
 	if v.cfg.Tracer != nil {
-		v.cfg.Tracer.OnCMLChange(v.cycles, v.globalTime(), v.table.Len())
+		v.cfg.Tracer.OnCMLChange(v.cycles, v.table.Len())
 	}
 }
 

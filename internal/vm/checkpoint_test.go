@@ -164,7 +164,7 @@ func TestCheckpointIntervalRespected(t *testing.T) {
 // contamination table's final and historical state, and the recorder's
 // CML series — into one line.
 func rollbackLine(k int, v *VM, rec *trace.Recorder, err error) string {
-	rec.Finish(v.Cycles(), v.Cycles(), v.Table().Len())
+	rec.Finish(v.Cycles(), v.Table().Len())
 	out := make([]uint64, len(v.Outputs()))
 	for i, o := range v.Outputs() {
 		out[i] = math.Float64bits(o)

@@ -28,9 +28,9 @@ import (
 // through the shared restore body below.
 //
 // Not snapshotted (callers must not combine them with snapshot forking):
-// the naive-taint ablation state, direct memory faults, the job-global
-// Clock, and a forking VM's own checkpoints — a fork starts with none,
-// where a from-scratch run may already hold one from before the cut.
+// the naive-taint ablation state, direct memory faults, and a forking VM's
+// own checkpoints — a fork starts with none, where a from-scratch run may
+// already hold one from before the cut.
 
 // QuiesceHook observes quiesce points. seq is the running quiesce-point
 // index of this rank's execution (0-based); for a multi-rank job every rank
@@ -120,12 +120,11 @@ func (v *VM) Snapshot(s *Snapshot) *Snapshot {
 // from and must not use the unsupported features listed in the package
 // comment above.
 func (v *VM) RestoreSnap(s *Snapshot) RestoreStats {
-	if v.cfg.TrackTaint || len(v.cfg.MemFaults) > 0 || v.cfg.CheckpointEvery > 0 || v.cfg.Clock != nil {
-		panic("vm: RestoreSnap with taint, memory faults, checkpointing or a global clock")
+	if v.cfg.TrackTaint || len(v.cfg.MemFaults) > 0 || v.cfg.CheckpointEvery > 0 {
+		panic("vm: RestoreSnap with taint, memory faults or checkpointing")
 	}
 	stats := v.restore(s)
 	v.cycles = s.cycles
-	v.pushed = s.cycles
 	v.sites = s.sites
 	v.injCycles = append(v.injCycles[:0], s.injCycles...)
 	v.qseq = s.qseq
