@@ -89,41 +89,6 @@ type Reuse struct {
 	// program that every run needs.
 	regionsProg *ir.Program
 	regions     []StructRegion
-	// snapPool holds retired CampaignSnapshot shells whose backing buffers
-	// (MemSnap/TableSnap/RecorderSnap/WorldSnap arrays) RunGoldenCapture
-	// reuses for fresh captures, so repeated golden captures at different
-	// cuts allocate once instead of per capture.
-	snapPool []*CampaignSnapshot
-}
-
-// ReleaseSnapshot returns a retired snapshot's backing buffers to the
-// pool for a later RunGoldenCapture with this Reuse. The snapshot must no
-// longer seed restores.
-func (ru *Reuse) ReleaseSnapshot(cs *CampaignSnapshot) {
-	if cs == nil {
-		return
-	}
-	cs.captured = false
-	ru.snapPool = append(ru.snapPool, cs)
-}
-
-// takeSnapshotShell hands out a pooled shell for a capture at seq, or
-// allocates one.
-func (ru *Reuse) takeSnapshotShell(seq uint64, ranks int) *CampaignSnapshot {
-	for i := len(ru.snapPool) - 1; i >= 0; i-- {
-		cs := ru.snapPool[i]
-		if len(cs.vms) == ranks {
-			ru.snapPool = append(ru.snapPool[:i], ru.snapPool[i+1:]...)
-			cs.Cut.Seq = seq
-			cs.captured = false
-			return cs
-		}
-	}
-	return &CampaignSnapshot{
-		Cut:  SiteCut{Seq: seq, Sites: make([]uint64, ranks)},
-		vms:  make([]*vm.Snapshot, ranks),
-		recs: make([]*trace.RecorderSnap, ranks),
-	}
 }
 
 // NewReuse prepares a reuse bundle for jobs of the given rank count.

@@ -11,12 +11,12 @@ import (
 	"repro/internal/vm"
 )
 
-// Snapshot-fork orchestration. A campaign runs the golden execution twice
-// up front: once with a profiling hook that maps each quiesce point to the
-// per-rank dynamic site counts reached there (RunGoldenProfile), and — once
-// the campaign has chosen which cuts pay off for its fault plans — once
-// more with a capture hook that records full job state at the chosen cuts
-// (RunGoldenCapture). Experiments whose faults all lie at or after a
+// Snapshot-fork orchestration. Every golden execution (RunGoldenProfile,
+// RunGoldenSiteClasses) carries a profiling hook that maps each quiesce
+// point to the per-rank dynamic site counts reached there. Once a campaign
+// has chosen which of those cuts pay off for its fault plans, one more
+// fault-free run with a capture hook records full job state at the chosen
+// cuts (RunGoldenCapture). Experiments whose faults all lie at or after a
 // captured cut then fork from it (RunConfig.From) instead of re-executing
 // the clean prefix.
 //
@@ -77,17 +77,52 @@ func (p *profileHook) Quiesce(v *vm.VM, seq uint64) {
 // returns the quiesce-point profile. The cuts are nil when the golden run
 // fails (a broken program) — callers fall back to re-execution mode.
 func RunGoldenProfile(prog *ir.Program, cfg RunConfig) (RunOutcome, []SiteCut) {
+	out, _, _, cuts := runGolden(prog, cfg, false)
+	return out, cuts
+}
+
+// RunGoldenSiteClasses is RunGoldenProfile that also records, per rank,
+// the injection class of every dynamic site (one ir.Class byte per site,
+// indexed by site number) and the static fim_inj ordinal the transform
+// stamped on it (one int32 per site). It is the golden execution of
+// stratified campaigns and per-site analytics: the class arrays map any
+// planned (rank, site) fault to its instruction-class stratum, and the
+// static arrays map it to its static injection site. Observation forces
+// the full interpreter, so this run is slower than a plain golden run; the
+// arrays and cuts are nil when the golden run fails.
+func RunGoldenSiteClasses(prog *ir.Program, cfg RunConfig) (RunOutcome, [][]byte, [][]int32, []SiteCut) {
+	return runGolden(prog, cfg, true)
+}
+
+// runGolden is the one golden-execution body: it always profiles the
+// quiesce points and, with observe, the per-site classes and statics.
+func runGolden(prog *ir.Program, cfg RunConfig, observe bool) (RunOutcome, [][]byte, [][]int32, []SiteCut) {
 	cfg = cfg.normalize()
 	ranks := cfg.Ranks
 	profs := make([]*profileHook, ranks)
-	hooks := make([]vm.QuiesceHook, ranks)
-	for r := range hooks {
+	ex := extras{hooks: make([]vm.QuiesceHook, ranks)}
+	for r := range profs {
 		profs[r] = &profileHook{}
-		hooks[r] = profs[r]
+		ex.hooks[r] = profs[r]
 	}
-	out := runWith(prog, cfg, extras{hooks: hooks})
+	var classes [][]byte
+	var statics [][]int32
+	if observe {
+		classes = make([][]byte, ranks)
+		statics = make([][]int32, ranks)
+		ex.observers = make([]vm.SiteObserver, ranks)
+		for r := range ex.observers {
+			r := r
+			ex.observers[r] = func(site uint64, static int32, class ir.Class) {
+				// Sites arrive in order; append lands the entry at index site.
+				classes[r] = append(classes[r], byte(class))
+				statics[r] = append(statics[r], static)
+			}
+		}
+	}
+	out := runWith(prog, cfg, ex)
 	if out.Err != nil {
-		return out, nil
+		return out, nil, nil, nil
 	}
 	// Every rank passes the same collective rounds, so the per-rank seq
 	// sequences agree in length; take the min defensively.
@@ -103,37 +138,7 @@ func RunGoldenProfile(prog *ir.Program, cfg RunConfig) (RunOutcome, []SiteCut) {
 		}
 		cuts[s] = cut
 	}
-	return out, cuts
-}
-
-// RunGoldenSiteClasses is Run for a fault-free golden execution that also
-// records, per rank, the injection class of every dynamic site (one
-// ir.Class byte per site, indexed by site number) and the static fim_inj
-// ordinal the transform stamped on it (one int32 per site). It is the
-// profiling pass behind stratified campaigns and per-site analytics: the
-// class arrays map any planned (rank, site) fault to its instruction-class
-// stratum, and the static arrays map it to its static injection site.
-// Observation forces the full interpreter, so this run is slower than a
-// plain golden run; the arrays are nil when the golden run fails.
-func RunGoldenSiteClasses(prog *ir.Program, cfg RunConfig) (RunOutcome, [][]byte, [][]int32) {
-	cfg = cfg.normalize()
-	ranks := cfg.Ranks
-	classes := make([][]byte, ranks)
-	statics := make([][]int32, ranks)
-	observers := make([]vm.SiteObserver, ranks)
-	for r := range observers {
-		r := r
-		observers[r] = func(site uint64, static int32, class ir.Class) {
-			// Sites arrive in order; append lands the entry at index site.
-			classes[r] = append(classes[r], byte(class))
-			statics[r] = append(statics[r], static)
-		}
-	}
-	out := runWith(prog, cfg, extras{observers: observers})
-	if out.Err != nil {
-		return out, nil, nil
-	}
-	return out, classes, statics
+	return out, classes, statics, cuts
 }
 
 // capturer coordinates park-and-capture across the ranks of one golden
@@ -212,9 +217,11 @@ func RunGoldenCapture(prog *ir.Program, cfg RunConfig, seqs []uint64) (RunOutcom
 		if _, dup := want[s]; dup {
 			continue
 		}
-		// Pooled shells carry the backing buffers of retired captures;
-		// vm/trace/mpi Snapshot() overwrite them in place.
-		cs := cfg.Reuse.takeSnapshotShell(s, ranks)
+		cs := &CampaignSnapshot{
+			Cut:  SiteCut{Seq: s, Sites: make([]uint64, ranks)},
+			vms:  make([]*vm.Snapshot, ranks),
+			recs: make([]*trace.RecorderSnap, ranks),
+		}
 		want[s] = cs
 		snaps = append(snaps, cs)
 	}

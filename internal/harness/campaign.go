@@ -53,7 +53,7 @@ type Sampling struct {
 	MultiFaultLambda float64
 	// Sites, when set, enables per-site propagation analytics: every
 	// experiment is attributed to the static fim_inj site of its first
-	// fault (via the one-off golden site-observer profile), its CML
+	// fault (via the site observer on the golden execution), its CML
 	// trajectory shape and cleanse cause are recorded in the summary, and
 	// the campaign carries mergeable per-site tallies that finalize into a
 	// Wilson-ranked vulnerability table (CampaignResult.Sites).
@@ -477,43 +477,21 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	if err := spec.validate(cfg); err != nil {
 		return nil, err
 	}
-	// Snapshot-fork campaigns draw the instrumented program from the
-	// configuration's process-wide pack, so repeated campaigns over the
-	// same configuration share one build, one quiesce profile and the
-	// captured golden snapshots (see pack.go).
-	var (
-		pack      *snapshotPack
-		inst      *ir.Program
-		siteInfos []transform.SiteInfo
-	)
-	if cfg.Snapshots > 0 {
-		p, err := packFor(cfg)
-		if err != nil {
-			return nil, err
-		}
-		pack, inst, siteInfos = p, p.inst, p.sites
-	} else {
-		prog, err := cfg.App.Build(cfg.Params)
-		if err != nil {
-			return nil, fmt.Errorf("harness: build %s: %w", cfg.App.Name(), err)
-		}
-		in, infos, err := transform.InstrumentSites(prog, cfg.transformOptions())
-		if err != nil {
-			return nil, fmt.Errorf("harness: instrument %s: %w", cfg.App.Name(), err)
-		}
-		inst, siteInfos = in, infos
+	// Every campaign draws the instrumented program from its
+	// configuration's process-wide pack and runs one golden (fault-free)
+	// execution on worker 0's Reuse: reference outputs, cycle budget, the
+	// per-rank dynamic injection-site space and the quiesce cuts — plus,
+	// for stratified and per-site-analytic campaigns, every (rank, site)'s
+	// instruction class and static fim_inj ordinal (see pack.go).
+	pack, err := packFor(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	// Golden (fault-free) run: reference outputs, cycle budget, and the
-	// per-rank dynamic injection-site space.
-	var golden core.RunOutcome
-	if pack != nil {
-		golden = pack.golden(cfg)
-	} else {
-		golden = coreRun(inst, core.RunConfig{Ranks: cfg.Params.Ranks, SampleEvery: cfg.SampleEvery})
-	}
-	if golden.Err != nil {
-		return nil, fmt.Errorf("harness: golden run of %s failed: %w", cfg.App.Name(), golden.Err)
+	reuse := make([]*core.Reuse, cfg.Workers)
+	reuse[0] = core.NewReuse(cfg.Params.Ranks)
+	golden, classes, statics, err := pack.golden(cfg, reuse[0], cfg.stratified() || cfg.Sites)
+	if err != nil {
+		return nil, err
 	}
 	part := &PartialResult{
 		Fingerprint: cfg.fingerprint(),
@@ -544,23 +522,13 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	criteria := classify.DefaultCriteria()
 	cycleLimit := uint64(float64(golden.Cycles) * cfg.HangFactor)
 
-	// Stratified and per-site-analytic campaigns profile the golden
-	// execution once more with a site observer, mapping every (rank, site)
-	// to its instruction class and static fim_inj ordinal. One profiling
-	// run serves both consumers.
 	var strata *Strata
 	var sites *siteMap
-	if cfg.stratified() || cfg.Sites {
-		gsites, classes, statics, err := profileSiteSpace(inst, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.stratified() {
-			strata = &Strata{Phases: cfg.Sampling.phases(), sites: gsites, classes: classes}
-		}
-		if cfg.Sites {
-			sites = newSiteMap(siteInfos, statics)
-		}
+	if cfg.stratified() {
+		strata = &Strata{Phases: cfg.Sampling.phases(), sites: part.GoldenSites, classes: classes}
+	}
+	if cfg.Sites {
+		sites = newSiteMap(pack.sites, statics)
 	}
 	// The planner engages only for whole-range adaptive shards. An
 	// explicit-ID shard is already one planner's decision: its worker
@@ -570,7 +538,7 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	e := &campaignEngine{
 		ctx:        ctx,
 		cfg:        cfg,
-		inst:       inst,
+		inst:       pack.inst,
 		part:       part,
 		criteria:   criteria,
 		cycleLimit: cycleLimit,
@@ -578,7 +546,7 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 		sites:      sites,
 		agg:        newAggregator(cfg),
 		completed:  make(map[int]bool, spec.Size()),
-		reuse:      make([]*core.Reuse, cfg.Workers),
+		reuse:      reuse,
 	}
 	e.agg.siteMap = sites
 	if adaptive {
@@ -639,15 +607,15 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 		}
 	}
 
-	// Snapshot-fork schedule: profile the golden execution's quiesce
-	// points, capture snapshots where this shard's plans can use them.
+	// Snapshot-fork schedule: choose among the golden execution's quiesce
+	// cuts, capture snapshots where this shard's plans can use them.
 	// Failure to build one (or Snapshots: 0) just means every experiment
 	// re-executes from step 0 — results are identical either way. Adaptive
 	// shards schedule over the whole pending budget: a superset of what the
 	// planner will spend, which can only make the captured cuts less
 	// tailored, never change a result.
-	if pack != nil && len(pending) > 0 {
-		e.sched = pack.schedule(cfg, part.GoldenSites, pending)
+	if cfg.Snapshots > 0 && len(pending) > 0 {
+		e.sched = pack.schedule(cfg, reuse[0], part.GoldenSites, pending)
 	}
 
 	cfg.Progress.begin(spec.Size(), cfg.Workers)

@@ -10,27 +10,27 @@ import (
 	"repro/internal/transform"
 )
 
-// Shared golden snapshot packs.
+// Shared golden packs.
 //
-// A pack is the process-wide cache of everything a snapshot-fork campaign
-// derives from the golden execution of one (app, params, sampleEvery)
-// configuration: the instrumented program, the quiesce-point profile, and
-// the captured snapshots themselves, keyed by quiesce seq. Snapshot
-// placement is purely a performance strategy — results are byte-identical
-// with any placement, including none — so sharing profile and capture work
-// across campaigns (repeated benches, service tenants re-running a
-// configuration, shards of one campaign in one process) cannot change
-// results; it only removes redundant golden re-execution and capture
-// allocations.
+// A pack is the process-wide cache of everything a campaign derives from
+// the golden execution of one (app, params, sampleEvery, protect)
+// configuration: the instrumented program and its site table, the
+// quiesce-point cuts, and the captured snapshots, keyed by quiesce seq.
+// Every campaign goes through its configuration's pack, whatever its
+// Snapshots value, and runs exactly one golden execution (golden below)
+// on its own worker-0 Reuse; the pack itself pins no run infrastructure.
+// Snapshot placement is purely a performance strategy — results are
+// byte-identical with any placement, including none — so sharing cuts and
+// captures across campaigns (repeated benches, service tenants re-running
+// a configuration, shards of one campaign in one process) cannot change
+// results; it only removes redundant capture runs and allocations.
 //
 // Snapshots stored in a pack are immutable once captured: forks copy out
 // of them, never into them, and incremental capture only fills seqs that
 // are missing from the pack. Evicting a map entry therefore never
 // invalidates a running campaign — its schedule keeps referencing the
 // evicted snapshots, which stay alive and read-only until the campaign
-// drops them. For the same reason evicted snapshots are NOT released into
-// the shell pool (a pooled shell would be overwritten in place by the next
-// capture while a campaign may still be forking from it).
+// drops them.
 const (
 	// maxPacks bounds the number of cached configurations (LRU beyond it).
 	maxPacks = 4
@@ -51,18 +51,16 @@ type packKey struct {
 }
 
 type snapshotPack struct {
-	// mu serializes the golden-phase runs (golden, profile, capture) of
-	// campaigns sharing the pack: they all execute on the pack's Reuse
-	// bundle. Experiment workers never take it — they read captured
-	// snapshots, which are immutable.
-	mu    sync.Mutex
 	inst  *ir.Program
 	sites []transform.SiteInfo
-	reuse *core.Reuse
 
-	profiled bool
-	cuts     []core.SiteCut
-	snaps    map[uint64]*core.CampaignSnapshot
+	// mu guards cuts and snaps, and serializes captures so campaigns
+	// sharing the pack never capture the same seq twice. Experiment
+	// workers never take it — they read captured snapshots, which are
+	// immutable.
+	mu    sync.Mutex
+	cuts  []core.SiteCut
+	snaps map[uint64]*core.CampaignSnapshot
 }
 
 var (
@@ -73,8 +71,7 @@ var (
 
 // packFor returns the process-wide pack for the campaign's configuration,
 // building and instrumenting the program on first use. Build and
-// instrument failures are returned with the same wrapping the
-// non-snapshot path uses, and are not cached.
+// instrument failures are returned wrapped, and are not cached.
 func packFor(cfg CampaignConfig) (*snapshotPack, error) {
 	key := packKey{
 		app:     cfg.App.Name(),
@@ -99,7 +96,6 @@ func packFor(cfg CampaignConfig) (*snapshotPack, error) {
 	p := &snapshotPack{
 		inst:  inst,
 		sites: infos,
-		reuse: core.NewReuse(cfg.Params.Ranks),
 		snaps: make(map[uint64]*core.CampaignSnapshot),
 	}
 	packs[key] = p
@@ -129,17 +125,41 @@ func resetPacks() {
 	packLRU = nil
 }
 
-// golden runs the fault-free golden execution on the pack's reuse bundle.
-// The outcome is identical to a Reuse-less run (pooling never changes
-// observables); escaping result slices are freshly allocated per run.
-func (p *snapshotPack) golden(cfg CampaignConfig) core.RunOutcome {
+// golden runs the campaign's one fault-free golden execution on ru (the
+// engine's worker-0 Reuse). It always records the quiesce cuts — the pack
+// keeps the first set it sees, so later campaigns schedule against the
+// same cuts — and, with observe, the per-rank site classes and statics
+// behind stratification and per-site analytics.
+func (p *snapshotPack) golden(cfg CampaignConfig, ru *core.Reuse, observe bool) (core.RunOutcome, [][]byte, [][]int32, error) {
+	rcfg := core.RunConfig{Ranks: cfg.Params.Ranks, SampleEvery: cfg.SampleEvery, Reuse: ru}
+	var (
+		out     core.RunOutcome
+		classes [][]byte
+		statics [][]int32
+		cuts    []core.SiteCut
+	)
+	if observe {
+		out, classes, statics, cuts = core.RunGoldenSiteClasses(p.inst, rcfg)
+	} else {
+		out, cuts = core.RunGoldenProfile(p.inst, rcfg)
+	}
+	if out.Err != nil {
+		return out, nil, nil, fmt.Errorf("harness: golden run of %s failed: %w", cfg.App.Name(), out.Err)
+	}
+	if observe {
+		for r, n := range out.SiteCounts() {
+			if uint64(len(classes[r])) != n {
+				return out, nil, nil, fmt.Errorf("harness: golden run of %s: rank %d observed %d of %d sites",
+					cfg.App.Name(), r, len(classes[r]), n)
+			}
+		}
+	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return coreRun(p.inst, core.RunConfig{
-		Ranks:       cfg.Params.Ranks,
-		SampleEvery: cfg.SampleEvery,
-		Reuse:       p.reuse,
-	})
+	if p.cuts == nil {
+		p.cuts = cuts
+	}
+	p.mu.Unlock()
+	return out, classes, statics, nil
 }
 
 // trim bounds the snapshot map, preferring to keep the seqs the current

@@ -6,65 +6,85 @@ import (
 	"repro/internal/apps"
 )
 
-// TestSnapshotPackSharedAcrossCampaigns checks that two campaigns over
-// the same configuration share one pack — second campaign re-uses the
-// cached quiesce profile and captured snapshots instead of re-profiling
-// and re-capturing — and still produce byte-identical studies.
+// lookupPack returns the registered pack for cfg's configuration, or nil.
+func lookupPack(cfg CampaignConfig) *snapshotPack {
+	key := packKey{app: cfg.App.Name(), params: cfg.Params, sample: cfg.SampleEvery}
+	packMu.Lock()
+	defer packMu.Unlock()
+	return packs[key]
+}
+
+// TestSnapshotPackSharedAcrossCampaigns checks that campaigns over the
+// same configuration share one pack: a plain (Snapshots: 0) campaign
+// leaves its golden cuts behind, a following snapshot campaign schedules
+// against those very cuts, and a third reuses the captured snapshots
+// instead of re-capturing — all three producing byte-identical studies.
 func TestSnapshotPackSharedAcrossCampaigns(t *testing.T) {
 	resetPacks()
 	t.Cleanup(resetPacks)
 	app := apps.All()[0]
-	cfg := CampaignConfig{
+	plain := CampaignConfig{
 		App:    app,
-		Params: app.TestParams(), Sampling: Sampling{Runs: 10, Seed: 77}, Execution: Execution{SampleEvery: 64, Workers: 1, Snapshots: 3},
+		Params: app.TestParams(), Sampling: Sampling{Runs: 10, Seed: 77}, Execution: Execution{SampleEvery: 64, Workers: 1},
 	}
-	first, err := RunCampaign(cfg)
+	want, err := RunCampaign(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := packKey{app: app.Name(), params: cfg.Params, sample: cfg.SampleEvery}
-	packMu.Lock()
-	p := packs[key]
-	packMu.Unlock()
+	p := lookupPack(plain)
 	if p == nil {
-		t.Fatal("snapshot campaign left no pack behind")
+		t.Fatal("plain campaign left no pack behind")
 	}
-	if !p.profiled || len(p.cuts) == 0 || len(p.snaps) == 0 {
-		t.Fatalf("pack not populated: profiled=%v cuts=%d snaps=%d",
-			p.profiled, len(p.cuts), len(p.snaps))
+	if len(p.cuts) == 0 || len(p.snaps) != 0 {
+		t.Fatalf("plain campaign: cuts=%d snaps=%d, want cuts and no snaps", len(p.cuts), len(p.snaps))
 	}
 	cutsBefore := &p.cuts[0]
-	snapsBefore := len(p.snaps)
 
-	second, err := RunCampaign(cfg)
+	snapped := plain
+	snapped.Snapshots = 3
+	first, err := RunCampaign(snapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packMu.Lock()
-	p2 := packs[key]
-	packMu.Unlock()
-	if p2 != p {
+	if lookupPack(snapped) != p {
+		t.Fatal("snapshot campaign built a fresh pack instead of sharing")
+	}
+	if &p.cuts[0] != cutsBefore {
+		t.Error("snapshot campaign replaced the cuts the plain campaign recorded")
+	}
+	if len(p.snaps) == 0 {
+		t.Fatal("snapshot campaign captured nothing")
+	}
+	snapsBefore := len(p.snaps)
+
+	second, err := RunCampaign(snapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lookupPack(snapped) != p {
 		t.Fatal("second campaign built a fresh pack instead of sharing")
 	}
 	if &p.cuts[0] != cutsBefore {
-		t.Error("second campaign re-profiled the golden execution")
+		t.Error("second campaign replaced the pack's cuts")
 	}
 	if len(p.snaps) != snapsBefore {
 		t.Errorf("second campaign over identical pending IDs recaptured: %d snaps, had %d",
 			len(p.snaps), snapsBefore)
 	}
-	assertStudyIdentical(t, "pack-shared second campaign", first, second)
+	assertStudyIdentical(t, "pack-shared snapshot campaign", want, first)
+	assertStudyIdentical(t, "pack-shared second campaign", want, second)
 }
 
-// TestPackLRUEviction fills the registry past its capacity and checks
-// the oldest configuration is evicted.
+// TestPackLRUEviction fills the registry past its capacity with plain
+// campaigns — every campaign goes through a pack — and checks the oldest
+// configuration is evicted.
 func TestPackLRUEviction(t *testing.T) {
 	resetPacks()
 	t.Cleanup(resetPacks)
 	app := apps.All()[0]
 	base := CampaignConfig{
 		App:    app,
-		Params: app.TestParams(), Sampling: Sampling{Runs: 2, Seed: 1}, Execution: Execution{SampleEvery: 64, Workers: 1, Snapshots: 1},
+		Params: app.TestParams(), Sampling: Sampling{Runs: 2, Seed: 1}, Execution: Execution{SampleEvery: 64, Workers: 1},
 	}
 	firstKey := packKey{app: app.Name(), params: base.Params, sample: base.SampleEvery}
 	for i := 0; i <= maxPacks; i++ {

@@ -14,8 +14,8 @@ import (
 
 // Per-site propagation analytics (Sampling.Sites). Each experiment's fault
 // plan is attributed to the static fim_inj site of its first fault via the
-// golden dyn→static profile (the same one-off site-observer run behind
-// stratification), and its outcome, CML trajectory shape, and cleanse
+// golden dyn→static profile (the site observer on the golden execution,
+// shared with stratification), and its outcome, CML trajectory shape, and cleanse
 // cause are tallied per site. Everything is a pure integer count over
 // seed-pure per-experiment records, so per-site tallies merge exactly like
 // StratumTally and the ranked table is byte-identical across worker

@@ -7,14 +7,13 @@ import (
 	"repro/internal/inject"
 )
 
-// Snapshot-fork scheduling. With CampaignConfig.Snapshots > 0 a shard pays
-// up to two extra golden executions up front — one to profile the quiesce
-// points (core.RunGoldenProfile), one to capture full state at the chosen
-// cuts (core.RunGoldenCapture) — and each experiment then forks from the
-// best captured snapshot that precedes all of its planned faults, skipping
-// the clean prefix. Both phases are cached in the configuration's
-// process-wide snapshotPack (see pack.go): campaigns after the first skip
-// the profile run entirely and capture only cuts the pack is missing.
+// Snapshot-fork scheduling. With CampaignConfig.Snapshots > 0 a shard
+// chooses cuts from the quiesce profile its golden execution recorded into
+// the pack, captures full state at the chosen cuts the pack is still
+// missing (core.RunGoldenCapture, the only extra fault-free run), and each
+// experiment then forks from the best captured snapshot that precedes all
+// of its planned faults, skipping the clean prefix. Campaigns after the
+// first over a configuration capture only the cuts the pack lacks.
 // Snapshot placement is purely a performance strategy: results are
 // byte-identical with any placement (including none), which is why
 // Snapshots is excluded from the checkpoint fingerprint.
@@ -81,22 +80,14 @@ func chooseSeqs(cuts []core.SiteCut, best []int, budget int) []uint64 {
 	return seqs
 }
 
-// schedule profiles the golden execution (once per pack; later campaigns
-// reuse the cached cuts), chooses cut seqs for the shard's pending
-// experiments, and captures snapshots at the seqs the pack is still
-// missing. It returns nil — campaign falls back to re-execution for every
-// experiment — when profiling fails or no pending plan can use any cut.
-func (p *snapshotPack) schedule(cfg CampaignConfig, sites []uint64, pending []int) *snapSchedule {
+// schedule chooses cut seqs for the shard's pending experiments from the
+// pack's golden cuts and captures snapshots, on ru, at the seqs the pack
+// is still missing. It returns nil — campaign falls back to re-execution
+// for every experiment — when capture fails or no pending plan can use
+// any cut.
+func (p *snapshotPack) schedule(cfg CampaignConfig, ru *core.Reuse, sites []uint64, pending []int) *snapSchedule {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rcfg := core.RunConfig{Ranks: cfg.Params.Ranks, SampleEvery: cfg.SampleEvery, Reuse: p.reuse}
-	if !p.profiled {
-		out, cuts := core.RunGoldenProfile(p.inst, rcfg)
-		if out.Err != nil || len(cuts) == 0 {
-			return nil
-		}
-		p.cuts, p.profiled = cuts, true
-	}
 	best := make([]int, 0, len(pending))
 	for _, id := range pending {
 		if b := bestCutIndex(p.cuts, planFor(cfg, id, sites)); b >= 0 {
@@ -114,6 +105,7 @@ func (p *snapshotPack) schedule(cfg CampaignConfig, sites []uint64, pending []in
 		}
 	}
 	if len(missing) > 0 {
+		rcfg := core.RunConfig{Ranks: cfg.Params.Ranks, SampleEvery: cfg.SampleEvery, Reuse: ru}
 		out, snaps := core.RunGoldenCapture(p.inst, rcfg, missing)
 		if out.Err != nil {
 			return nil

@@ -5,23 +5,21 @@ import (
 	"sort"
 
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/ir"
 	"repro/internal/stats"
-	"repro/internal/transform"
 )
 
 // Stratification. The adaptive planner partitions a campaign's experiment
 // space by where the (first) fault lands: the instruction class consuming
-// the corrupted operand (arith / mem / cmp / ctl, from a one-off golden
-// profiling pass with a vm.SiteObserver) crossed with the golden-execution
-// phase of the dynamic site (which fraction of the rank's fault-free site
-// space precedes it). Both axes are pure functions of the seed and the
-// golden execution, so an experiment's stratum is identical no matter
-// where, when, or by whom it is computed — the property that lets shards
-// tally strata independently and a coordinator steer budget from merged
-// tallies alone.
+// the corrupted operand (arith / mem / cmp / ctl, recorded by a
+// vm.SiteObserver during the golden execution) crossed with the
+// golden-execution phase of the dynamic site (which fraction of the rank's
+// fault-free site space precedes it). Both axes are pure functions of the
+// seed and the golden execution, so an experiment's stratum is identical
+// no matter where, when, or by whom it is computed — the property that
+// lets shards tally strata independently and a coordinator steer budget
+// from merged tallies alone.
 
 // defaultStrataPhases is the phase count used when TargetCI is set but
 // Strata is not.
@@ -65,54 +63,24 @@ type Strata struct {
 	classes [][]byte
 }
 
-// BuildStrata profiles the campaign's golden execution and returns its
-// stratification. It runs the instrumented program once with a site
-// observer (slower than a plain golden run, paid once per campaign); the
-// result depends only on (app, params), never on the seed or budget.
+// BuildStrata runs the campaign's golden execution with a site observer
+// and returns its stratification. The program comes from the
+// configuration's pack; the result depends only on (app, params), never
+// on the seed or budget.
 func BuildStrata(cfg CampaignConfig) (*Strata, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	prog, err := cfg.App.Build(cfg.Params)
-	if err != nil {
-		return nil, fmt.Errorf("harness: build %s: %w", cfg.App.Name(), err)
-	}
-	inst, err := transform.Instrument(prog, cfg.transformOptions())
-	if err != nil {
-		return nil, fmt.Errorf("harness: instrument %s: %w", cfg.App.Name(), err)
-	}
-	return buildStrata(inst, cfg)
-}
-
-// buildStrata is BuildStrata over an already-instrumented program (the
-// engine shares its build). cfg must have defaults applied.
-func buildStrata(inst *ir.Program, cfg CampaignConfig) (*Strata, error) {
-	sites, classes, _, err := profileSiteSpace(inst, cfg)
+	pack, err := packFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Strata{Phases: cfg.Sampling.phases(), sites: sites, classes: classes}, nil
-}
-
-// profileSiteSpace runs the one-off golden site-observer profile behind
-// both stratification and per-site analytics: per-rank golden site counts,
-// one consumer-class byte per dynamic site, and the static fim_inj ordinal
-// of every dynamic site. All three are pure functions of (app, params), so
-// every shard of a campaign derives the same profile independently.
-func profileSiteSpace(inst *ir.Program, cfg CampaignConfig) ([]uint64, [][]byte, [][]int32, error) {
-	out, classes, statics := core.RunGoldenSiteClasses(inst, core.RunConfig{Ranks: cfg.Params.Ranks})
-	if out.Err != nil {
-		return nil, nil, nil, fmt.Errorf("harness: site-class profile of %s failed: %w", cfg.App.Name(), out.Err)
+	golden, classes, _, err := pack.golden(cfg, nil, true)
+	if err != nil {
+		return nil, err
 	}
-	sites := out.SiteCounts()
-	for r, n := range sites {
-		if uint64(len(classes[r])) != n {
-			return nil, nil, nil, fmt.Errorf("harness: site-class profile of %s: rank %d observed %d of %d sites",
-				cfg.App.Name(), r, len(classes[r]), n)
-		}
-	}
-	return sites, classes, statics, nil
+	return &Strata{Phases: cfg.Sampling.phases(), sites: golden.SiteCounts(), classes: classes}, nil
 }
 
 // NumStrata is the stratum index space size: the zero-fault catch-all plus

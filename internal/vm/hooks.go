@@ -36,8 +36,7 @@ const NoSite = ^uint64(0)
 // the transform.SiteInfo table), and the injection class of the instruction
 // consuming the (possibly corrupted) operand — the axes campaigns stratify
 // and rank on. Observation forces the full interpreter over every site, so
-// it belongs in one-off golden profiling runs, never in injection
-// experiments. Sites arrive strictly in order (0, 1, 2, …).
+// it belongs in golden executions, never in injection experiments. Sites arrive strictly in order (0, 1, 2, …).
 type SiteObserver func(site uint64, static int32, class ir.Class)
 
 // MPIEndpoint is the VM's view of the message-passing runtime. Messages are
